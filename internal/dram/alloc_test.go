@@ -11,8 +11,10 @@ import (
 
 // TestEnqueueDrainZeroAlloc pins the DRAM hot path — Read enqueue,
 // FR-FCFS scheduling, issue, completion — at 0 allocs/op once the Txn
-// pool, ring queues and engine heap are warm.  (Race instrumentation
-// perturbs allocation accounting; compiled out under -race.)
+// pool, queues, row index and engine heap are warm, for a shallow
+// row-hit stream and for a deep row-scattered write queue (so the row
+// index grows only on a cold start).  (Race instrumentation perturbs
+// allocation accounting; compiled out under -race.)
 func TestEnqueueDrainZeroAlloc(t *testing.T) {
 	eng := engine.New()
 	iface := &stats.Interface{Name: "test"}
@@ -31,5 +33,15 @@ func TestEnqueueDrainZeroAlloc(t *testing.T) {
 		eng.Run()
 	}); allocs != 0 {
 		t.Fatalf("enqueue+drain allocated %.1f allocs/op, want 0", allocs)
+	}
+
+	deep := NewController(eng, testDRAM(8), iface)
+	enqueueDeep(deep, noop)
+	eng.Run()
+	if allocs := testing.AllocsPerRun(5, func() {
+		enqueueDeep(deep, noop)
+		eng.Run()
+	}); allocs != 0 {
+		t.Fatalf("deep enqueue+drain allocated %.1f allocs/op, want 0", allocs)
 	}
 }

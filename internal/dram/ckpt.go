@@ -4,7 +4,8 @@ package dram
 // state is serialized: queue contents (as transaction records whose
 // completion callbacks are mapped to registry keys), bank/rank timing
 // state, bus and refresh bookkeeping, wake bookkeeping, the sharded
-// shadow counters, and the per-channel fault-injector views.  Pools
+// shadow counters, and the per-channel fault-injector views.  The
+// FR-FCFS row index is derived state, rebuilt as the queues reload.  Pools
 // are restored to their saved high-water mark so a resumed run's
 // allocation behaviour matches the uninterrupted one.
 
@@ -131,6 +132,40 @@ func (c *Controller) loadTxn(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel
 	return t, nil
 }
 
+// saveRows serializes an FR-FCFS queue oldest-first, in saveQueue's
+// layout.  The row FIFOs and hits are derived: loadRows and syncHits
+// rebuild them.
+func (c *Controller) saveRows(w *ckpt.Writer, reg *engine.FnRegistry, q *rowQueue) error {
+	_, _, _, _, _ = q.tail, q.seq, q.slots, q.used, q.shift // derived: rebuilt by push
+	_, _ = q.hit, q.hitMask                                 // derived: rebuilt by syncHits
+	_, _ = q.bankBits, q.banksPerRank                       // geometry, not state
+	w.Count(q.len())
+	for t := q.head; t != nil; t = t.next {
+		if err := c.saveTxn(w, reg, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadRows restores an FR-FCFS queue in saved order, with no hits; the
+// caller runs syncHits once the banks' open rows are loaded.
+func (c *Controller) loadRows(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel, q *rowQueue) error {
+	n := r.Count(c.MaxQueue)
+	if err := r.Err(); err != nil {
+		return err
+	}
+	q.reset()
+	for i := 0; i < n; i++ {
+		t, err := c.loadTxn(r, reg, ch)
+		if err != nil {
+			return err
+		}
+		q.push(t, -1)
+	}
+	return nil
+}
+
 // saveQueue serializes a transaction queue oldest-first.
 func (c *Controller) saveQueue(w *ckpt.Writer, reg *engine.FnRegistry, q *txnQueue) error {
 	w.Count(q.len())
@@ -198,10 +233,10 @@ func (c *Controller) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
 // by NewController/SetSharding and acknowledged, not serialized.
 func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *channel) error {
 	_, _, _, _ = ch.eng, ch.shard, ch.shardIdx, ch.iface // wiring, not state
-	if err := c.saveQueue(w, reg, &ch.rdq); err != nil {
+	if err := c.saveRows(w, reg, &ch.rdq); err != nil {
 		return err
 	}
-	if err := c.saveQueue(w, reg, &ch.wrq); err != nil {
+	if err := c.saveRows(w, reg, &ch.wrq); err != nil {
 		return err
 	}
 	if err := c.saveQueue(w, reg, &ch.handoff); err != nil {
@@ -231,10 +266,10 @@ func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *cha
 // to the saved high-water mark.
 func (c *Controller) loadChannel(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel) error {
 	_, _, _, _ = ch.eng, ch.shard, ch.shardIdx, ch.iface // wiring, not state
-	if err := c.loadQueue(r, reg, ch, &ch.rdq); err != nil {
+	if err := c.loadRows(r, reg, ch, &ch.rdq); err != nil {
 		return err
 	}
-	if err := c.loadQueue(r, reg, ch, &ch.wrq); err != nil {
+	if err := c.loadRows(r, reg, ch, &ch.wrq); err != nil {
 		return err
 	}
 	if err := c.loadQueue(r, reg, ch, &ch.handoff); err != nil {
@@ -255,6 +290,7 @@ func (c *Controller) loadChannel(r *ckpt.Reader, reg *engine.FnRegistry, ch *cha
 			return err
 		}
 	}
+	ch.syncHits()
 	ch.busFreeAt = r.I64()
 	ch.lastColAt = r.I64()
 	ch.lastOp = Op(r.U8())

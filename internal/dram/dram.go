@@ -56,17 +56,23 @@ func (l Location) SameRow(o Location) bool {
 
 // Txn is one pending transaction.
 type Txn struct {
-	Addr   mem.Addr
-	Op     Op
-	Bytes  int
-	Arrive int64
-	Loc    Location
+	Addr mem.Addr
+	Op   Op
 	// Prio schedules a write with the reads instead of deferring it to a
 	// write-drain burst: it models an update the controller insists on
 	// performing immediately, paying the bus turnaround inline
 	// (Red-Basic's r-count writes).
 	Prio   bool
+	Bytes  int
+	Arrive int64
+	Loc    Location
 	onDone func(finish int64)
+
+	// Links owned by the rowQueue holding the transaction: its push
+	// order, the queue-order list, and its (rank, bank, row) FIFO.
+	seq        uint64
+	prev, next *Txn
+	rowNext    *Txn
 }
 
 // bank is per-channel DRAM bank state, owned by its channel's shard.
@@ -91,12 +97,8 @@ type rank struct {
 	actIdx  int
 }
 
-// txnQueue is a power-of-two ring buffer of queued transactions.  The
-// FR-FCFS scheduler removes from arbitrary positions; removeAt shifts
-// whichever side is shorter, so the common oldest-first removal is O(1)
-// and no removal ever reallocates.  FIFO order (and therefore the
-// determinism contract) is preserved exactly: relative order of the
-// remaining transactions never changes.
+// txnQueue is a power-of-two FIFO ring buffer: the sharded hand-off
+// ring that stages transactions until their arrival event runs.
 //
 //redvet:shardlocal
 type txnQueue struct {
@@ -132,25 +134,15 @@ func (q *txnQueue) grow() {
 	q.head = 0
 }
 
-// removeAt deletes the i-th oldest transaction, shifting the smaller
-// side of the ring toward the gap.
+// pop removes and returns the oldest transaction.
 //
 //redvet:hotpath
-func (q *txnQueue) removeAt(i int) {
-	mask := len(q.buf) - 1
-	if i < q.n-1-i {
-		for j := i; j > 0; j-- {
-			q.buf[(q.head+j)&mask] = q.buf[(q.head+j-1)&mask]
-		}
-		q.buf[q.head] = nil
-		q.head = (q.head + 1) & mask
-	} else {
-		for j := i; j < q.n-1; j++ {
-			q.buf[(q.head+j)&mask] = q.buf[(q.head+j+1)&mask]
-		}
-		q.buf[(q.head+q.n-1)&mask] = nil
-	}
+func (q *txnQueue) pop() *Txn {
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
+	return t
 }
 
 // channel is the unit of the planned engine sharding: everything it
@@ -158,7 +150,7 @@ func (q *txnQueue) removeAt(i int) {
 //
 //redvet:shardlocal
 type channel struct {
-	rdq, wrq    txnQueue // split read/write transaction queues
+	rdq, wrq    rowQueue // split read/write transaction queues
 	drainWr     bool     // write-drain mode (watermark hysteresis)
 	drainBudget int      // writes remaining in the current drain burst
 	ranks       []rank
@@ -271,6 +263,8 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 		ch := &c.chans[i]
 		ch.eng = eng
 		ch.iface = iface
+		ch.rdq.init(c.banksPerChan, g.BanksPerRank)
+		ch.wrq.init(c.banksPerChan, g.BanksPerRank)
 		ch.ranks = make([]rank, g.RanksPerChan)
 		for r := range ch.ranks {
 			rk := &ch.ranks[r]
@@ -309,8 +303,7 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 	c.arriveFn = func(arg uint64) {
 		chIdx := int(arg)
 		ch := &c.chans[chIdx]
-		t := ch.handoff.at(0)
-		ch.handoff.removeAt(0)
+		t := ch.handoff.pop()
 		if ch.rdq.len()+ch.wrq.len() >= c.MaxQueue {
 			panic("dram: transaction queue overflow (missing upstream flow control)")
 		}
@@ -372,10 +365,32 @@ func (ch *channel) growPool() {
 //
 //redvet:hotpath
 func (ch *channel) queuePush(t *Txn) {
+	openRow := ch.ranks[t.Loc.Rank].banks[t.Loc.Bank].openRow
 	if t.Op == OpWrite && !t.Prio {
-		ch.wrq.push(t)
+		ch.wrq.push(t, openRow)
 	} else {
-		ch.rdq.push(t)
+		ch.rdq.push(t, openRow)
+	}
+}
+
+// rowOpened re-points both queues' hit for bank b (the channel-wide
+// bank index) at the FIFO of the row just activated there.
+//
+//redvet:hotpath
+func (ch *channel) rowOpened(b int, row int64) {
+	ch.rdq.rowOpened(b, row)
+	ch.wrq.rowOpened(b, row)
+}
+
+// syncHits points both queues' hits at the FIFOs of the banks' open
+// rows, for queues refilled without hits (checkpoint restore).
+func (ch *channel) syncHits() {
+	for r := range ch.ranks {
+		for bi, b := range ch.ranks[r].banks {
+			if b.openRow >= 0 {
+				ch.rowOpened(ch.rdq.bankOf(Location{Rank: r, Bank: bi}), b.openRow)
+			}
+		}
 	}
 }
 
@@ -648,35 +663,31 @@ const pickScan = 16
 
 // pickFrom implements FR-FCFS within one queue: the oldest row-hit
 // transaction if any exists; otherwise, among the oldest pickScan
-// entries, the one whose bank lets it issue earliest.
+// entries, the one whose bank lets it issue earliest (the oldest on a
+// tie).  It returns the slot of the picked transaction's row FIFO,
+// whose head the picked transaction always is.
 //
 //redvet:hotpath
-func (c *Controller) pickFrom(ch *channel, q *txnQueue) int {
-	for i := 0; i < q.len(); i++ {
-		t := q.at(i)
-		b := &ch.ranks[t.Loc.Rank].banks[t.Loc.Bank]
-		if b.openRow == t.Loc.Row {
-			return i
+func (c *Controller) pickFrom(ch *channel, q *rowQueue) int {
+	if s := q.oldestHit(); s >= 0 {
+		return s
+	}
+	best, bestAt := q.head, int64(1)<<62
+	n := 0
+	for t := q.head; t != nil && n < pickScan; t = t.next {
+		if at := c.readyAt(ch, t); at < bestAt {
+			best, bestAt = t, at
 		}
+		n++
 	}
-	best, bestAt := 0, int64(1)<<62
-	n := q.len()
-	if n > pickScan {
-		n = pickScan
-	}
-	for i := 0; i < n; i++ {
-		if at := c.readyAt(ch, q.at(i)); at < bestAt {
-			best, bestAt = i, at
-		}
-	}
-	return best
+	return q.slotOf(best)
 }
 
 // selectQueue applies the write-drain policy and returns the queue to
 // serve plus whether it is the write queue.
 //
 //redvet:hotpath
-func (c *Controller) selectQueue(ch *channel) (q *txnQueue, isWrite bool) {
+func (c *Controller) selectQueue(ch *channel) (q *rowQueue, isWrite bool) {
 	serveWrites := false
 	switch {
 	case ch.rdq.len() == 0:
@@ -731,8 +742,8 @@ func (c *Controller) trySchedule(chIdx int) {
 	}
 
 	q, isWrite := c.selectQueue(ch)
-	idx := c.pickFrom(ch, q)
-	t := q.at(idx)
+	s := c.pickFrom(ch, q)
+	t := q.slots[s].head
 	if at := c.readyAt(ch, t); at > now+commitHorizon {
 		// Not issueable soon: leave it queued so a better candidate (a
 		// row hit arriving meanwhile) can overtake, and wake when this
@@ -740,7 +751,7 @@ func (c *Controller) trySchedule(chIdx int) {
 		c.wake(chIdx, at-commitHorizon)
 		return
 	}
-	q.removeAt(idx)
+	q.pop(s)
 	if isWrite && ch.drainWr {
 		ch.drainBudget--
 	}
@@ -784,6 +795,7 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 		b.actAt = actAt
 		b.rcReady = actAt + tm.TRC
 		b.openRow = t.Loc.Row
+		ch.rowOpened(ch.rdq.bankOf(t.Loc), t.Loc.Row)
 		rk.lastAct = actAt
 		rk.actHist[rk.actIdx] = actAt
 		rk.actIdx = (rk.actIdx + 1) % 4
@@ -887,6 +899,8 @@ func (c *Controller) doRefresh(chIdx int, ch *channel) {
 			b.readyAt = max(b.readyAt, end)
 		}
 	}
+	ch.rdq.clearHits()
+	ch.wrq.clearHits()
 	ch.iface.Refreshes++
 	c.wake(chIdx, end)
 }

@@ -9,7 +9,7 @@ import (
 
 // ShardLocal is the ownership/escape analyzer behind the sharded-engine
 // plan: a type annotated //redvet:shardlocal (per-channel DRAM bank
-// state, FR-FCFS rings, the HBM tag store and RCU CAM) is proven
+// state, FR-FCFS queues, the HBM tag store and RCU CAM) is proven
 // confined to one owning component, so a per-channel shard can mutate
 // it without synchronization.  Confinement is violated by:
 //

@@ -16,6 +16,7 @@ import (
 
 	"redcache/internal/ckpt"
 	"redcache/internal/config"
+	"redcache/internal/dram"
 	"redcache/internal/hbm"
 	"redcache/internal/obs"
 	"redcache/internal/trace"
@@ -278,4 +279,59 @@ func resum(data []byte) []byte {
 	body := data[:len(data)-sha256.Size]
 	sum := sha256.Sum256(body)
 	return append(bytes.Clone(body), sum[:]...)
+}
+
+// TestCheckpointRebuildsRowIndex restores mid-run checkpoints taken
+// while the HBM write queues are deep (HIST on Alloy: nearly every
+// miss is a fill write) and checks that the FR-FCFS row index, which
+// the checkpoint does not carry, is rebuilt consistent with the
+// restored queues and open rows, and that the resumed run finishes
+// byte-identical to the uninterrupted one.
+func TestCheckpointRebuildsRowIndex(t *testing.T) {
+	cfg := config.Default()
+	spec, err := workloads.ByLabel("HIST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := spec.Gen(cfg.CPU.Cores, workloads.Small, 1)
+	opts := &Options{}
+	base, err := Run(cfg, hbm.ArchAlloy, tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fullString(t, base)
+	deepest := 0
+	for _, frac := range []int64{5, 3, 2} {
+		pause := base.Cycles / frac
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		snapshotAt(t, cfg, hbm.ArchAlloy, tr, opts, pause, path)
+		_, payload, err := ckpt.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := buildMachine(cfg, hbm.ArchAlloy, tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.loadState(ckpt.NewReader(payload)); err != nil {
+			t.Fatalf("restore from cycle ~%d: %v", pause, err)
+		}
+		deepest = max(deepest, m.hbmCtl.TotalQueued())
+		for _, ctl := range []*dram.Controller{m.hbmCtl, m.ddrCtl} {
+			if err := ctl.CheckInvariants(); err != nil {
+				t.Fatalf("restored at cycle ~%d: %v", pause, err)
+			}
+		}
+		res, err := m.complete()
+		m.close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fullString(t, res); got != want {
+			t.Fatalf("resumed from cycle ~%d diverges from the uninterrupted run", pause)
+		}
+	}
+	if deepest < 2000 {
+		t.Fatalf("deepest restored HBM queue holds %d transactions, want a deep queue (>= 2000)", deepest)
+	}
 }
