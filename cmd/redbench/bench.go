@@ -20,7 +20,6 @@ import (
 	"redcache/internal/lint"
 	"redcache/internal/mem"
 	"redcache/internal/obs"
-	"redcache/internal/obs/prof"
 	"redcache/internal/sim"
 	"redcache/internal/stats"
 	"redcache/internal/trace"
@@ -32,10 +31,9 @@ import (
 // to BENCH_<date>.json, so CI and EXPERIMENTS.md work from the same
 // numbers.
 var (
-	benchMode   = flag.Bool("bench", false, "run the performance benchmark suite and write BENCH_<date>.json")
-	benchOut    = flag.String("benchout", "", "benchmark output path (default BENCH_<date>.json in the working directory)")
-	benchShards = flag.String("shards", "auto", "worker count for the sharded rows of the -bench end-to-end sweep: auto or N >= 1")
-	benchProof  = flag.String("proofstats", "", "redvet -proofstatsout JSON file to embed in the report as proof_stats")
+	benchMode  = flag.Bool("bench", false, "run the performance benchmark suite and write BENCH_<date>.json")
+	benchOut   = flag.String("benchout", "", "benchmark output path (default BENCH_<date>.json in the working directory)")
+	benchProof = flag.String("proofstats", "", "redvet -proofstatsout JSON file to embed in the report as proof_stats")
 )
 
 // microResult is one testing.Benchmark measurement.
@@ -51,32 +49,21 @@ type microResult struct {
 	MBPerSec float64 `json:"mb_per_sec,omitempty"`
 }
 
-// e2eResult is one whole-simulation throughput measurement.  Rows come
-// in serial/sharded pairs: ShardWorkers 0 is the classic engine,
-// ShardWorkers N>0 is the sharded engine on N worker threads, and the
-// sharded row's Speedup is the serial row's wall time over its own.
+// e2eResult is one whole-simulation throughput measurement.
 type e2eResult struct {
 	Workload     string  `json:"workload"`
 	Arch         string  `json:"arch"`
 	Scale        string  `json:"scale"`
-	ShardWorkers int     `json:"shard_workers"`
 	Cycles       int64   `json:"cycles"`
 	EventsFired  uint64  `json:"events_fired"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup,omitempty"`
-	// Sharded rows additionally carry the parallelism attribution from
-	// one extra profiled repetition (internal/obs/prof), never timed so
-	// profiling overhead cannot touch wall_seconds or speedup.
-	ShardBusyFrac float64 `json:"shard_busy_frac,omitempty"`
-	BarrierFrac   float64 `json:"barrier_frac,omitempty"`
-	Imbalance     float64 `json:"imbalance,omitempty"`
 }
 
 // e2eReps is the timed repetition count for end-to-end rows: each row
-// reports the best of e2eReps runs after one untimed warmup, so the
-// serial/sharded speedup compares best-case wall times instead of
-// single-sample scheduler noise.
+// reports the best of e2eReps runs after one untimed warmup, so rows
+// compare best-case wall times instead of single-sample scheduler
+// noise.
 const e2eReps = 3
 
 // benchReport is the BENCH_<date>.json schema.  Arrays, not maps: the
@@ -96,8 +83,6 @@ type benchReport struct {
 }
 
 func runBenchSuite() {
-	workers, err := parseBenchShards(*benchShards)
-	fatalIf(err)
 	date := time.Now().Format("2006-01-02") //redvet:wallclock — report timestamp, never feeds simulated state
 	rep := benchReport{
 		Date:      date,
@@ -105,13 +90,8 @@ func runBenchSuite() {
 		NumCPU:    runtime.NumCPU(),
 		SchemaNote: "ns_per_op/allocs_per_op/bytes_per_op from testing.Benchmark; " +
 			"events_per_sec = engine events per wall second; mb_per_sec for the trace and checkpoint codecs; " +
-			"end_to_end rows come in serial (shard_workers=0) / sharded (shard_workers=N) pairs " +
-			"over the same deterministic run; wall_seconds is the best of 3 timed repetitions " +
-			"after one untimed warmup, and the sharded row's speedup is serial best wall " +
-			"seconds over sharded best wall seconds on this host — num_cpu bounds the " +
-			"parallelism actually available, so a single-hardware-thread host measures " +
-			"sharding overhead, not scaling; sharded rows' shard_busy_frac/barrier_frac/" +
-			"imbalance come from one extra profiled repetition excluded from timing; " +
+			"end_to_end wall_seconds is the best of 3 timed repetitions of one deterministic " +
+			"run after one untimed warmup; " +
 			"proof_stats, when present, is the redvet -proofstatsout snapshot of statically " +
 			"discharged proof obligations for the same tree",
 	}
@@ -125,8 +105,6 @@ func runBenchSuite() {
 
 	fmt.Fprintln(os.Stderr, "  benchmarking engine (Schedule→Step)...")
 	rep.Micro = append(rep.Micro, microBench("EngineScheduleFire", benchEngineScheduleFire, true, false))
-	fmt.Fprintln(os.Stderr, "  benchmarking cross-shard hand-off...")
-	rep.Micro = append(rep.Micro, microBench("EngineCrossShardHandoff", benchEngineCrossShardHandoff, true, false))
 	fmt.Fprintln(os.Stderr, "  benchmarking DRAM row-hit stream...")
 	rep.Micro = append(rep.Micro, microBench("DRAMRowHitStream", benchDRAMRowHitStream, true, false))
 	fmt.Fprintln(os.Stderr, "  benchmarking trace codec round trip...")
@@ -146,14 +124,8 @@ func runBenchSuite() {
 		{"LU", hbm.ArchAlloy},
 		{"HIST", hbm.ArchNoHBM},
 	} {
-		fmt.Fprintf(os.Stderr, "  simulating %s/%s (small scale, serial)...\n", pair.workload, pair.arch)
-		serial := benchEndToEnd(pair.workload, pair.arch, 0)
-		rep.EndToEnd = append(rep.EndToEnd, serial)
-		fmt.Fprintf(os.Stderr, "  simulating %s/%s (small scale, sharded x%d)...\n",
-			pair.workload, pair.arch, workers)
-		sharded := benchEndToEnd(pair.workload, pair.arch, workers)
-		sharded.Speedup = serial.WallSeconds / sharded.WallSeconds
-		rep.EndToEnd = append(rep.EndToEnd, sharded)
+		fmt.Fprintf(os.Stderr, "  simulating %s/%s (small scale)...\n", pair.workload, pair.arch)
+		rep.EndToEnd = append(rep.EndToEnd, benchEndToEnd(pair.workload, pair.arch))
 	}
 
 	out := *benchOut
@@ -205,37 +177,6 @@ func benchEngineScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
-}
-
-// benchEngineCrossShardHandoff mirrors
-// internal/engine.BenchmarkEngineCrossShardHandoff through the public
-// API: a channel shard posts batches of completions across the
-// mergepoint and the coordinator merges and fires them, so one op is
-// one hand-off including its share of the window-boundary merge.
-func benchEngineCrossShardHandoff(b *testing.B) {
-	b.ReportAllocs()
-	const window = 44
-	const batch = 64
-	s := engine.NewSharded(engine.New(), 1, window, 1)
-	defer s.Close()
-	sh := s.Shard(1)
-	src := sh.Engine()
-	sink := func(int64) {}
-	remaining := 0
-	var step func(now int64)
-	step = func(now int64) {
-		for j := 0; j < batch; j++ {
-			sh.PostTimed(now+window+int64(j%7), sink)
-		}
-		remaining -= batch
-		if remaining > 0 {
-			src.ScheduleTimed(now+window, step)
-		}
-	}
-	b.ResetTimer()
-	remaining = b.N
-	src.ScheduleTimed(1, step)
-	s.Run()
 }
 
 // benchDRAMRowHitStream mirrors internal/dram.BenchmarkDRAMRowHitStream:
@@ -394,70 +335,36 @@ func benchCheckpointSaveRestore(b *testing.B) {
 }
 
 // benchEndToEnd runs one whole (workload, arch) simulation at small
-// scale and reports engine-event throughput.  shardWorkers 0 uses the
-// classic serial engine; N>0 the sharded engine on N workers.  The
-// simulation itself is deterministic (the trace is immutable, so every
-// repetition replays the identical run); only the wall-clock
-// denominator varies, which is why each row is best-of-e2eReps after
-// an untimed warmup.
-func benchEndToEnd(workload string, arch hbm.Arch, shardWorkers int) e2eResult {
+// scale and reports engine-event throughput.  The simulation itself is
+// deterministic (the trace is immutable, so every repetition replays
+// the identical run); only the wall-clock denominator varies, which is
+// why each row is best-of-e2eReps after an untimed warmup.
+func benchEndToEnd(workload string, arch hbm.Arch) e2eResult {
 	cfg := config.Default()
 	spec, err := workloads.ByLabel(workload)
 	fatalIf(err)
 	tr := spec.Gen(cfg.CPU.Cores, workloads.Small, 1)
-	opts := func() *sim.Options {
-		if shardWorkers > 0 {
-			return &sim.Options{ShardWorkers: shardWorkers}
-		}
-		return nil
-	}
 
 	// Warmup: populates the page cache and allocator arenas so the first
 	// timed repetition isn't charged for cold-start costs.
-	res, err := sim.Run(cfg, arch, tr, opts())
+	res, err := sim.Run(cfg, arch, tr, nil)
 	fatalIf(err)
 	best := math.Inf(1)
 	for rep := 0; rep < e2eReps; rep++ {
 		start := time.Now() //redvet:wallclock — benchmark timing, never feeds simulated state
-		res, err = sim.Run(cfg, arch, tr, opts())
+		res, err = sim.Run(cfg, arch, tr, nil)
 		fatalIf(err)
 		if w := time.Since(start).Seconds(); w < best { //redvet:wallclock — benchmark timing, never feeds simulated state
 			best = w
 		}
 	}
-	out := e2eResult{
+	return e2eResult{
 		Workload:     workload,
 		Arch:         string(arch),
 		Scale:        "small",
-		ShardWorkers: shardWorkers,
 		Cycles:       res.Cycles,
 		EventsFired:  res.EventsFired,
 		WallSeconds:  best,
 		EventsPerSec: float64(res.EventsFired) / best,
 	}
-	if shardWorkers > 0 {
-		po := opts()
-		po.Profile = &prof.Options{}
-		pres, err := sim.Run(cfg, arch, tr, po)
-		fatalIf(err)
-		if r := pres.Profile.Report(); r != nil {
-			out.ShardBusyFrac = r.ShardBusyFrac()
-			out.BarrierFrac = r.BarrierFrac()
-			out.Imbalance = r.Imbalance()
-		}
-	}
-	return out
-}
-
-// parseBenchShards maps the -shards spec to the sharded rows' worker
-// count: "auto" resolves to GOMAXPROCS, an integer >= 1 passes through.
-func parseBenchShards(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n := 0
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid -shards %q (want auto or an integer >= 1)", s)
-	}
-	return n, nil
 }

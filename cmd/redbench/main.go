@@ -41,7 +41,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 2a, 2b, 3, 9, 10, 11, stats, ablation, epochbw, faultsweep, shardprof or all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 2a, 2b, 3, 9, 10, 11, stats, ablation, epochbw, faultsweep or all")
 		scale   = flag.String("scale", "default", "problem size: tiny, small or default")
 		csvDir  = flag.String("csv", "", "directory to write CSV outputs into")
 		table   = flag.Int("table", 0, "print Table 1 (config) or 2 (workloads) and exit")
@@ -271,37 +271,6 @@ func main() {
 				p.Silent, p.TagSilent, p.Data, p.RelTime)
 		}
 		writeCSV("faultsweep.csv", experiments.FaultSweepCSV(pts))
-	}
-
-	// Opt-in like the ablations: one extra profiled sharded run per
-	// listed pair, wall-clock attribution to stdout (host-dependent, so
-	// never byte-compared) and the deterministic per-shard counts to
-	// -csv.
-	if *fig == "shardprof" {
-		workers, err := parseBenchShards(*benchShards)
-		fatalIf(err)
-		fmt.Printf("\n== Shard profile (sharded engine, %d workers) ==\n", workers)
-		fmt.Println("busy/barrier/merge fractions of profiled wall time; imbalance = max/mean channel-shard busy")
-		var csv strings.Builder
-		for i, pair := range []struct {
-			workload string
-			arch     hbm.Arch
-		}{
-			{"LU", hbm.ArchRedCache},
-			{"HIST", hbm.ArchNoHBM},
-		} {
-			r, err := suite.ShardProfile(pair.workload, pair.arch, workers)
-			fatalIf(err)
-			experiments.WriteShardProfileTable(os.Stdout, pair.workload, pair.arch, r)
-			part := experiments.ShardProfileCSV(pair.workload, pair.arch, r)
-			if i > 0 { // drop the repeated header
-				if nl := strings.IndexByte(part, '\n'); nl >= 0 {
-					part = part[nl+1:]
-				}
-			}
-			csv.WriteString(part)
-		}
-		writeCSV("shardprof.csv", csv.String())
 	}
 
 	// Like ablation, the epoch-bandwidth series is opt-in: it needs one

@@ -4,30 +4,11 @@
 // Usage:
 //
 //	redsim -workload LU -arch RedCache [-scale default] [-seed 1]
-//	       [-shards auto|N [-prof] [-proftrace t.json] [-profcsv p.csv]]
 //	       [-faults default -faultseed 1] [-invariants [-invperiod 10000]]
 //	       [-maxcycles N]
 //	       [-ckpt run.ckpt [-ckptperiod N] [-resume]]
 //	       [-telemetry out/ -epoch 100000 [-events]]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace run.trace]
-//
-// -shards selects the sharded event engine: the run is partitioned by
-// DRAM-channel locality and channel shards execute on N worker threads
-// ("auto" = GOMAXPROCS).  The sharded schedule is deterministic by
-// construction — any positive N (including 1) produces byte-identical
-// results; N only decides how many OS threads execute it.  0 (the
-// default) keeps the classic serial engine.
-//
-// -prof (requires -shards > 0) attaches the wall-clock shard profiler
-// (internal/obs/prof): per-shard busy time, barrier/merge/fold
-// attribution, the cross-shard traffic matrix, and a load-imbalance
-// report, printed to stderr so stdout stays byte-identical with or
-// without profiling.  -proftrace additionally exports the window/phase
-// timeline as Chrome trace-event JSON (load it at
-// https://ui.perfetto.dev), and -profcsv writes the deterministic
-// schedule-derived summary; both imply -prof and carry a
-// run-provenance manifest (config hash, seed, shard plan, go version,
-// CPU count).
 //
 // -faults enables deterministic fault injection: "default" (or "on")
 // uses the paper-motivated default rates, "off" disables, and a
@@ -48,12 +29,11 @@
 // the checkpointed run's report is byte-identical to an uninterrupted
 // one.  -resume restores the run from that file instead of starting
 // fresh; the checkpoint's manifest (config hash, workload, arch,
-// seeds, fault spec, shard plan, telemetry cadence) must match the
+// seeds, fault spec, telemetry cadence) must match the
 // flags given, and a damaged or mismatched checkpoint is rejected with
 // exit status 2 — never silently re-run.  A tripped watchdog or
 // invariant abort additionally writes a non-resumable diagnostic
-// snapshot to <ckpt>.final.  -prof cannot be combined with -ckptperiod
-// or -resume (the checkpoint pause points have no profiler hooks).
+// snapshot to <ckpt>.final.
 //
 // -telemetry enables cycle-domain telemetry (internal/obs): probes are
 // sampled every -epoch cycles and written to <dir>/series.jsonl and
@@ -84,7 +64,6 @@ import (
 	"redcache/internal/config"
 	"redcache/internal/hbm"
 	"redcache/internal/obs"
-	"redcache/internal/obs/prof"
 	"redcache/internal/sim"
 	"redcache/internal/stats"
 	"redcache/internal/workloads"
@@ -105,10 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		arch      = fs.String("arch", "RedCache", "architecture: NoHBM, Ideal, Alloy, Bear, Red-Alpha, Red-Gamma, Red-Basic, Red-InSitu, RedCache")
 		scale     = fs.String("scale", "default", "problem size: tiny, small or default")
 		seed      = fs.Int64("seed", 1, "workload PRNG seed")
-		shards    = fs.String("shards", "0", "sharded-engine workers: auto, or N (0 = classic serial engine)")
-		profOn    = fs.Bool("prof", false, "profile the sharded run (report to stderr; requires -shards > 0)")
-		profTrace = fs.String("proftrace", "", "write the profiler timeline as Perfetto-loadable trace JSON (implies -prof)")
-		profCSV   = fs.String("profcsv", "", "write the deterministic profiler summary CSV (implies -prof)")
 		cores     = fs.Int("cores", 0, "override core count (0 = config default)")
 		faults    = fs.String("faults", "off", "fault injection spec: off, default, or k=v list (tag, tagescape, rcount, data, row, bus)")
 		faultSeed = fs.Int64("faultseed", 1, "fault-injection PRNG seed (independent of -seed)")
@@ -153,10 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	shardWorkers, err := parseShards(*shards)
-	if err != nil {
-		return usage(err)
-	}
 	fc.Seed = *faultSeed
 	if *invPeriod <= 0 {
 		return usage(fmt.Errorf("-invperiod must be positive, got %d", *invPeriod))
@@ -167,12 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *events && *telDir == "" {
 		return usage(fmt.Errorf("-events requires -telemetry"))
 	}
-	if *profTrace != "" || *profCSV != "" {
-		*profOn = true
-	}
-	if *profOn && shardWorkers == 0 {
-		return usage(fmt.Errorf("-prof requires -shards > 0 (there is no parallel schedule to profile on the serial engine)"))
-	}
 	if *ckptEvery < 0 {
 		return usage(fmt.Errorf("-ckptperiod must be non-negative, got %d", *ckptEvery))
 	}
@@ -181,9 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *resume && *ckptPath == "" {
 		return usage(fmt.Errorf("-resume requires -ckpt"))
-	}
-	if *profOn && (*ckptEvery > 0 || *resume) {
-		return usage(fmt.Errorf("-prof cannot be combined with -ckptperiod or -resume (checkpoint pause points have no profiler hooks)"))
 	}
 
 	tr := spec.Gen(cfg.CPU.Cores, sc, *seed)
@@ -212,20 +174,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := &sim.Options{
-		Faults:       &fc,
-		MaxCycles:    *maxCycles,
-		ShardWorkers: shardWorkers,
-		CkptPath:     *ckptPath,
-		CkptPeriod:   *ckptEvery,
+		Faults:     &fc,
+		MaxCycles:  *maxCycles,
+		CkptPath:   *ckptPath,
+		CkptPeriod: *ckptEvery,
 	}
 	if *invar {
 		opts.InvariantCycles = *invPeriod
 	}
 	if *telDir != "" {
 		opts.Telemetry = &obs.Options{EpochCycles: *epoch, TraceEvents: *events}
-	}
-	if *profOn {
-		opts.Profile = &prof.Options{}
 	}
 
 	start := time.Now() //redvet:wallclock — host-side progress timing, never feeds simulated state
@@ -263,13 +221,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	report(stdout, cfg, spec, sc, tr.Records(), res, wall)
-
-	if res.Profile != nil {
-		m := profManifest(cfg, spec.Label, string(res.Arch), *scale, *seed, *faults, *faultSeed, res.Profile)
-		if err := writeProf(stderr, res.Profile, m, *profTrace, *profCSV); err != nil {
-			return fail(err)
-		}
-	}
 	return 0
 }
 
@@ -327,20 +278,6 @@ func report(w io.Writer, cfg *config.System, spec workloads.Spec, sc workloads.S
 func ckptReject(err error) bool {
 	return errors.Is(err, ckpt.ErrTruncated) || errors.Is(err, ckpt.ErrCorrupt) ||
 		errors.Is(err, ckpt.ErrVersion) || errors.Is(err, ckpt.ErrMismatch)
-}
-
-// parseShards maps the -shards spec to Options.ShardWorkers: "auto"
-// resolves to GOMAXPROCS, a non-negative integer passes through (0 =
-// classic serial engine).
-func parseShards(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n := 0
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -shards %q (want auto or a non-negative integer)", s)
-	}
-	return n, nil
 }
 
 func parseScale(s string) (workloads.Scale, error) {

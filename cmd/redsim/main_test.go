@@ -38,13 +38,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-invperiod", "0"},
 		{"-maxcycles", "-1"},
 		{"-events"}, // -events without -telemetry
-		{"-shards", "bogus"},
-		{"-shards", "-2"},
 		{"-ckptperiod", "-1"},
 		{"-ckptperiod", "1000"}, // -ckptperiod without -ckpt
 		{"-resume"},             // -resume without -ckpt
-		{"-shards", "2", "-prof", "-ckpt", "x", "-ckptperiod", "1000"},
-		{"-shards", "2", "-prof", "-ckpt", "x", "-resume"},
 	}
 	for _, args := range cases {
 		code, _, stderr := runCLI(args...)
@@ -122,41 +118,6 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedCLIByteIdentity pins the acceptance criterion at the CLI
-// surface: -shards 4 and -shards 1 (and auto) print byte-identical
-// reports, with faults off and on, and the sharded runs stay
-// byte-reproducible run to run.
-func TestShardedCLIByteIdentity(t *testing.T) {
-	for _, faults := range [][]string{nil, {"-faults", "default", "-faultseed", "7"}} {
-		base := append([]string{"-scale", "tiny", "-cores", "4", "-invariants"}, faults...)
-		code, ref, stderr := runCLI(append(base, "-shards", "1")...)
-		if code != 0 {
-			t.Fatalf("-shards 1 %v: exit %d, stderr %q", faults, code, stderr)
-		}
-		for _, n := range []string{"4", "auto"} {
-			code, got, stderr := runCLI(append(base, "-shards", n)...)
-			if code != 0 {
-				t.Fatalf("-shards %s %v: exit %d, stderr %q", n, faults, code, stderr)
-			}
-			if stripWall(got) != stripWall(ref) {
-				t.Errorf("-shards %s diverged from -shards 1 (faults %v):\n--- shards 1 ---\n%s\n--- shards %s ---\n%s",
-					n, faults, ref, n, got)
-			}
-		}
-		code, again, _ := runCLI(append(base, "-shards", "4")...)
-		if code != 0 {
-			t.Fatal("repeat sharded run failed")
-		}
-		if code, first, _ := runCLI(append(base, "-shards", "4")...); code != 0 || stripWall(first) != stripWall(again) {
-			t.Errorf("repeated -shards 4 runs diverged (faults %v)", faults)
-		}
-	}
-}
-
-// TestCheckpointCLI drives the checkpoint surface end to end: a
-// checkpointed run reports the same bytes as a plain one, resuming
-// from its last snapshot reports the same bytes again, and damaged or
-// mismatched checkpoints exit 2 with a diagnostic.
 func TestCheckpointCLI(t *testing.T) {
 	base := []string{"-scale", "tiny", "-cores", "4"}
 	code, ref, stderr := runCLI(base...)

@@ -1,17 +1,14 @@
 // Command redvet runs the repository's domain-specific static-analysis
 // suite: the analyzers in internal/lint that machine-check the
 // simulator's determinism, unit and allocation contracts (see
-// DESIGN.md, "Determinism contract & static analysis").  Since v3 the
-// suite also carries the engine-sharding gate: detsched proves the sim
-// core free of scheduling nondeterminism, shardlocal proves annotated
-// per-shard state confined to its owning component, and fporder pins
-// the iteration order of float reductions.  v4 adds the sharded
-// engine's residual trust assumptions as structural proofs: statefold
-// (fold/merge/snapshot/delta/reset functions drop no stats field),
-// windowproof (every cross-shard deadline is anchored at the current
-// cycle and offset by >= ShardWindow()), and wallflow (wall-clock
-// reads never reach deterministic state).  -proofstats reports the
-// discharged obligation counts.
+// DESIGN.md, "Determinism contract & static analysis").  Since v3
+// detsched proves the sim core free of scheduling nondeterminism and
+// fporder pins the iteration order of float reductions.  v4 adds
+// structural proofs: statefold (fold/merge/snapshot/delta/reset and
+// checkpoint save/load functions drop no field of a stats or
+// //redvet:state struct) and wallflow (wall-clock reads never reach
+// deterministic state).  -proofstats reports the discharged obligation
+// counts.
 //
 // Usage:
 //

@@ -11,7 +11,7 @@ import (
 	"redcache/internal/stats"
 )
 
-//redvet:shardlocal
+//redvet:state
 type line struct {
 	tag   uint64
 	valid bool

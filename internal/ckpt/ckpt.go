@@ -38,7 +38,11 @@ import (
 )
 
 // FormatVersion is the checkpoint format this build writes and reads.
-const FormatVersion = 1
+// Format 2 dropped the sharded-engine state (the coordinator section,
+// the engine's external-work flag, the DRAM channels' hand-off rings,
+// shadow counters and per-channel injector views, and the injector's
+// view-derivation seed) from the payload.
+const FormatVersion = 2
 
 const magic = "RCK1"
 
@@ -75,21 +79,12 @@ type Manifest struct {
 	// FaultSeed its PRNG seed; both steer every injector draw.
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed int64  `json:"fault_seed,omitempty"`
-	// Sharded runs use the windowed per-channel schedule, which is its
-	// own deterministic event order — a serial checkpoint can never
-	// continue a sharded run or vice versa.  Shards and Window pin the
-	// plan; the worker count is deliberately absent (it never affects
-	// the schedule).
-	Sharded bool  `json:"sharded"`
-	Shards  int   `json:"shards,omitempty"`
-	Window  int64 `json:"window,omitempty"`
 	// EpochCycles and InvariantCycles pin the periodic schedules
 	// (telemetry sampling and invariant sweeps are heap events).
 	EpochCycles     int64 `json:"epoch_cycles,omitempty"`
 	InvariantCycles int64 `json:"invariant_cycles,omitempty"`
-	// MaxCycles pins the watchdog budget: in the sharded plan the
-	// budget clamps the final lookahead window, so resuming under a
-	// different budget could change the event order near the deadline.
+	// MaxCycles pins the watchdog budget and the event limit derived
+	// from it, so a resumed run aborts exactly where the original would.
 	MaxCycles int64 `json:"max_cycles,omitempty"`
 	// Cycle is the simulation time the snapshot was captured at.
 	Cycle int64 `json:"cycle"`
@@ -97,6 +92,14 @@ type Manifest struct {
 	// ("watchdog", "invariant") for a diagnostic snapshot written on
 	// the way out of a failed run.
 	Final string `json:"final,omitempty"`
+}
+
+// HashConfig fingerprints any resolved configuration value by hashing
+// its exhaustive %+v rendering — cheap, dependency-free, and stable
+// for the plain structs the simulator's configs are made of.
+func HashConfig(cfg any) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", cfg)))
+	return fmt.Sprintf("%x", sum[:8])
 }
 
 // Compatible reports whether a checkpoint written under m can resume a
@@ -119,12 +122,6 @@ func (m *Manifest) Compatible(want *Manifest) error {
 		return mismatch("fault spec", m.Faults, want.Faults)
 	case m.FaultSeed != want.FaultSeed:
 		return mismatch("fault seed", m.FaultSeed, want.FaultSeed)
-	case m.Sharded != want.Sharded:
-		return mismatch("sharded", m.Sharded, want.Sharded)
-	case m.Shards != want.Shards:
-		return mismatch("shard count", m.Shards, want.Shards)
-	case m.Window != want.Window:
-		return mismatch("shard window", m.Window, want.Window)
 	case m.EpochCycles != want.EpochCycles:
 		return mismatch("telemetry epoch", m.EpochCycles, want.EpochCycles)
 	case m.InvariantCycles != want.InvariantCycles:

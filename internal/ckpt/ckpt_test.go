@@ -19,9 +19,6 @@ func sampleManifest() *Manifest {
 		Seed:            1,
 		Faults:          "tagflip=1e-6",
 		FaultSeed:       7,
-		Sharded:         true,
-		Shards:          9,
-		Window:          24,
 		EpochCycles:     4096,
 		InvariantCycles: 8192,
 		MaxCycles:       1 << 30,
@@ -182,6 +179,14 @@ func TestDecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(d[4:8], FormatVersion+1)
 			return d
 		}()), ErrVersion},
+		// A well-formed format-1 file carries sharded-engine sections
+		// this build no longer reads: refused as a version, not decoded
+		// into a corrupt-looking payload.
+		{"format 1", reseal(func() []byte {
+			d := bytes.Clone(good)
+			binary.LittleEndian.PutUint32(d[4:8], 1)
+			return d
+		}()), ErrVersion},
 		{"flip manifest byte", func() []byte {
 			d := bytes.Clone(good)
 			d[headerLen+1] ^= 0x20
@@ -212,7 +217,25 @@ func TestDecodeRejects(t *testing.T) {
 			if !errors.Is(err, c.want) {
 				t.Errorf("got %v, want %v", err, c.want)
 			}
+			for _, other := range []error{ErrTruncated, ErrCorrupt, ErrVersion, ErrMismatch} {
+				if other != c.want && errors.Is(err, other) {
+					t.Errorf("got %v, which is also %v", err, other)
+				}
+			}
 		})
+	}
+}
+
+// TestHashConfigStable: equal configs hash equal, and a changed field
+// changes the hash.
+func TestHashConfigStable(t *testing.T) {
+	type cfg struct{ A, B int }
+	h1, h2 := HashConfig(cfg{1, 2}), HashConfig(cfg{1, 2})
+	if h1 != h2 {
+		t.Errorf("HashConfig not stable: %s vs %s", h1, h2)
+	}
+	if HashConfig(cfg{1, 3}) == h1 {
+		t.Error("HashConfig ignores field changes")
 	}
 }
 
@@ -235,9 +258,6 @@ func TestManifestCompatible(t *testing.T) {
 		"seed":       func(m *Manifest) { m.Seed++ },
 		"faults":     func(m *Manifest) { m.Faults = "" },
 		"fault seed": func(m *Manifest) { m.FaultSeed++ },
-		"sharded":    func(m *Manifest) { m.Sharded = false },
-		"shards":     func(m *Manifest) { m.Shards++ },
-		"window":     func(m *Manifest) { m.Window++ },
 		"epoch":      func(m *Manifest) { m.EpochCycles++ },
 		"invariants": func(m *Manifest) { m.InvariantCycles++ },
 		"max cycles": func(m *Manifest) { m.MaxCycles++ },

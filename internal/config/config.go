@@ -56,20 +56,6 @@ func (t DRAMTiming) Validate() error {
 	return nil
 }
 
-// ShardWindow derives the conservative lookahead window (in cycles)
-// the sharded event engine may execute per barrier for a device with
-// this timing set.  A channel shard executing cycle `now` posts its
-// completions at dataEnd = cmdAt + columnLatency + burstCycles, where
-// the column command never precedes `now` (tRCD and every other
-// constraint only push it later), columnLatency is tCAS for reads and
-// tCWD for writes, and the tBL-derived burst takes at least one cycle.
-// So every cross-shard completion lands strictly after
-// now + min(tCAS, tCWD): windows of that length never require a shard
-// to observe an event another shard has not yet produced.
-func (t DRAMTiming) ShardWindow() int64 {
-	return max(1, min(t.TCAS, t.TCWD))
-}
-
 // DRAMGeometry describes channel/rank/bank organization.
 type DRAMGeometry struct {
 	Channels     int

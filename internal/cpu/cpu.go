@@ -44,7 +44,7 @@ type slot struct {
 // the per-record hot path allocation-free; slot pointers stay stable
 // for the completion callbacks that write into them.
 //
-//redvet:shardlocal
+//redvet:state
 type slotRing struct {
 	buf  []*slot
 	head int

@@ -3,10 +3,9 @@ package dram
 // Checkpoint save/load for the channel model.  The full command-level
 // state is serialized: queue contents (as transaction records whose
 // completion callbacks are mapped to registry keys), bank/rank timing
-// state, bus and refresh bookkeeping, wake bookkeeping, the sharded
-// shadow counters, and the per-channel fault-injector views.  The
-// FR-FCFS row index is derived state, rebuilt as the queues reload.  Pools
-// are restored to their saved high-water mark so a resumed run's
+// state, bus and refresh bookkeeping, and wake bookkeeping.  The
+// FR-FCFS row index is derived state, rebuilt as the queues reload.
+// Pools are restored to their saved high-water mark so a resumed run's
 // allocation behaviour matches the uninterrupted one.
 
 import (
@@ -24,7 +23,6 @@ const tagDRAM = 0x44524d31 // "DRM1"
 // device as 0 and main memory as 1).
 func (c *Controller) RegisterFns(reg *engine.FnRegistry, ctlID uint32) {
 	reg.RegisterArg(engine.Key(engine.KeyDRAMWake, ctlID, 0), c.wakeFn)
-	reg.RegisterArg(engine.Key(engine.KeyDRAMArrive, ctlID, 0), c.arriveFn)
 }
 
 // saveState serializes one bank's timing state.
@@ -132,8 +130,7 @@ func (c *Controller) loadTxn(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel
 	return t, nil
 }
 
-// saveRows serializes an FR-FCFS queue oldest-first, in saveQueue's
-// layout.  The row FIFOs and hits are derived: loadRows and syncHits
+// saveRows serializes an FR-FCFS queue oldest-first.  The row FIFOs and hits are derived: loadRows and syncHits
 // rebuild them.
 func (c *Controller) saveRows(w *ckpt.Writer, reg *engine.FnRegistry, q *rowQueue) error {
 	_, _, _, _, _ = q.tail, q.seq, q.slots, q.used, q.shift // derived: rebuilt by push
@@ -162,37 +159,6 @@ func (c *Controller) loadRows(r *ckpt.Reader, reg *engine.FnRegistry, ch *channe
 			return err
 		}
 		q.push(t, -1)
-	}
-	return nil
-}
-
-// saveQueue serializes a transaction queue oldest-first.
-func (c *Controller) saveQueue(w *ckpt.Writer, reg *engine.FnRegistry, q *txnQueue) error {
-	w.Count(q.len())
-	for i := 0; i < q.len(); i++ {
-		if err := c.saveTxn(w, reg, q.at(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadQueue restores a transaction queue in saved order.
-func (c *Controller) loadQueue(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel, q *txnQueue) error {
-	n := r.Count(c.MaxQueue)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.head, q.n = 0, 0
-	for i := range q.buf {
-		q.buf[i] = nil
-	}
-	for i := 0; i < n; i++ {
-		t, err := c.loadTxn(r, reg, ch)
-		if err != nil {
-			return err
-		}
-		q.push(t)
 	}
 	return nil
 }
@@ -228,18 +194,12 @@ func (c *Controller) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
 	return nil
 }
 
-// saveChannel serializes one channel's complete scheduling state.  The
-// wiring fields (engine, shard handle, interface pointer) are rebuilt
-// by NewController/SetSharding and acknowledged, not serialized.
+// saveChannel serializes one channel's complete scheduling state.
 func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *channel) error {
-	_, _, _, _ = ch.eng, ch.shard, ch.shardIdx, ch.iface // wiring, not state
 	if err := c.saveRows(w, reg, &ch.rdq); err != nil {
 		return err
 	}
 	if err := c.saveRows(w, reg, &ch.wrq); err != nil {
-		return err
-	}
-	if err := c.saveQueue(w, reg, &ch.handoff); err != nil {
 		return err
 	}
 	w.Bool(ch.drainWr)
@@ -256,8 +216,6 @@ func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *cha
 	w.I64(ch.refreshEnd)
 	w.Bool(ch.hasPending)
 	w.I64(ch.pendingAt)
-	ch.shadow.SaveState(w)
-	ch.inj.SaveState(w)
 	w.Count(len(ch.pool))
 	return nil
 }
@@ -265,14 +223,10 @@ func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *cha
 // loadChannel restores one channel, pre-growing its transaction pool
 // to the saved high-water mark.
 func (c *Controller) loadChannel(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel) error {
-	_, _, _, _ = ch.eng, ch.shard, ch.shardIdx, ch.iface // wiring, not state
 	if err := c.loadRows(r, reg, ch, &ch.rdq); err != nil {
 		return err
 	}
 	if err := c.loadRows(r, reg, ch, &ch.wrq); err != nil {
-		return err
-	}
-	if err := c.loadQueue(r, reg, ch, &ch.handoff); err != nil {
 		return err
 	}
 	ch.drainWr = r.Bool()
@@ -299,10 +253,6 @@ func (c *Controller) loadChannel(r *ckpt.Reader, reg *engine.FnRegistry, ch *cha
 	ch.refreshEnd = r.I64()
 	ch.hasPending = r.Bool()
 	ch.pendingAt = r.I64()
-	ch.shadow.LoadState(r)
-	if err := ch.inj.LoadState(r); err != nil {
-		return err
-	}
 	pool := r.Count(1 << 24)
 	if err := r.Err(); err != nil {
 		return err

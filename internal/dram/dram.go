@@ -75,9 +75,9 @@ type Txn struct {
 	rowNext    *Txn
 }
 
-// bank is per-channel DRAM bank state, owned by its channel's shard.
+// bank is per-channel DRAM bank state.
 //
-//redvet:shardlocal
+//redvet:state
 type bank struct {
 	openRow   int64 // -1 when closed
 	actAt     int64 // cycle of last ACT
@@ -87,9 +87,9 @@ type bank struct {
 	rcReady   int64 // actAt + tRC
 }
 
-// rank is per-channel rank timing state, owned by its channel's shard.
+// rank is per-channel rank timing state.
 //
-//redvet:shardlocal
+//redvet:state
 type rank struct {
 	banks   []bank
 	lastAct int64    // for tRRD
@@ -97,58 +97,10 @@ type rank struct {
 	actIdx  int
 }
 
-// txnQueue is a power-of-two FIFO ring buffer: the sharded hand-off
-// ring that stages transactions until their arrival event runs.
+// channel is one DRAM channel's command-scheduling state: its queues,
+// ranks and banks, bus and refresh bookkeeping.
 //
-//redvet:shardlocal
-type txnQueue struct {
-	buf  []*Txn
-	head int
-	n    int
-}
-
-//redvet:hotpath
-func (q *txnQueue) len() int { return q.n }
-
-//redvet:hotpath
-func (q *txnQueue) at(i int) *Txn { return q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-//redvet:hotpath
-func (q *txnQueue) push(t *Txn) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
-	q.n++
-}
-
-// grow doubles the ring (16 minimum), linearizing the live entries.
-//
-//redvet:coldstart — amortized ring growth up to the queue's high-water mark
-func (q *txnQueue) grow() {
-	grown := make([]*Txn, max(16, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		grown[i] = q.at(i)
-	}
-	q.buf = grown
-	q.head = 0
-}
-
-// pop removes and returns the oldest transaction.
-//
-//redvet:hotpath
-func (q *txnQueue) pop() *Txn {
-	t := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return t
-}
-
-// channel is the unit of the planned engine sharding: everything it
-// reaches (queues, ranks, banks) is confined to one shard.
-//
-//redvet:shardlocal
+//redvet:state
 type channel struct {
 	rdq, wrq    rowQueue // split read/write transaction queues
 	drainWr     bool     // write-drain mode (watermark hysteresis)
@@ -165,31 +117,8 @@ type channel struct {
 	// later ones, whose stale events are dropped on firing).
 	hasPending bool
 	pendingAt  int64
-
-	// eng is the engine the channel's scheduling events run on: the
-	// controller's engine normally, the owning shard's engine once
-	// SetSharding routed the channel to its own shard.
-	eng *engine.Engine
-	// shard is the cross-shard posting handle (nil when unsharded);
-	// shardIdx is the channel's shard index in the Sharded run.
-	shard    *engine.Shard
-	shardIdx int
-	// iface receives the channel's traffic counters: the controller's
-	// shared interface normally, the private shadow when sharded (folded
-	// into the shared interface at every window barrier, in channel
-	// order, so the totals are schedule-independent).
-	iface  *stats.Interface
-	shadow stats.Interface
-	// inj is the channel's fault source: the controller's shared
-	// injector normally, a per-channel derived view when sharded (so
-	// parallel channels never race on one PRNG stream).
-	inj *fault.Injector
 	// pool recycles Txn structs channel-locally; see getTxn.
 	pool []*Txn
-	// handoff buffers transactions staged by shard 0 until the matching
-	// arrival event (posted through the mergepoint) pops them on the
-	// owning shard.  Push and pop run in alternating phases.
-	handoff txnQueue
 }
 
 // WriteHook is consulted when a write column command is issued.  It
@@ -220,18 +149,11 @@ type Controller struct {
 	// inj injects row-activation failures and transient bus errors into
 	// the command schedule; nil (the default) costs one check per site.
 	inj *fault.Injector
-	// sharded is set once SetSharding routed the channels to their own
-	// shards; nil keeps every path on the classic single-engine plan.
-	sharded *engine.Sharded
 
 	// wakeFn is the single scheduling-decision callback shared by all
 	// channels; the channel index travels as the event's fixed argument,
 	// so a wake never allocates a closure.
 	wakeFn func(arg uint64)
-	// arriveFn is the shared arrival callback for sharded hand-off: it
-	// pops the next staged transaction off the channel's hand-off ring
-	// on the owning shard.
-	arriveFn func(arg uint64)
 
 	// MaxQueue bounds the per-channel transaction queue; Enqueue panics
 	// beyond it to catch upstream flow-control bugs.
@@ -261,8 +183,6 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 	c.chans = make([]channel, g.Channels)
 	for i := range c.chans {
 		ch := &c.chans[i]
-		ch.eng = eng
-		ch.iface = iface
 		ch.rdq.init(c.banksPerChan, g.BanksPerRank)
 		ch.wrq.init(c.banksPerChan, g.BanksPerRank)
 		ch.ranks = make([]rank, g.RanksPerChan)
@@ -294,32 +214,20 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 		// pendingAt, and the engine guarantees Now() equals the firing
 		// time, so this is the same stale-event check the closure-based
 		// implementation captured per event.
-		if !ch.hasPending || ch.pendingAt != ch.eng.Now() {
+		if !ch.hasPending || ch.pendingAt != c.eng.Now() {
 			return // superseded
 		}
 		ch.hasPending = false
 		c.trySchedule(chIdx)
 	}
-	c.arriveFn = func(arg uint64) {
-		chIdx := int(arg)
-		ch := &c.chans[chIdx]
-		t := ch.handoff.pop()
-		if ch.rdq.len()+ch.wrq.len() >= c.MaxQueue {
-			panic("dram: transaction queue overflow (missing upstream flow control)")
-		}
-		ch.queuePush(t)
-		c.kick(chIdx)
-	}
 	return c
 }
 
 // getTxn takes a transaction slot from the channel's free list (or
-// allocates one on a cold start).  Pools are per channel so a sharded
-// run's parallel putTxn calls stay confined to their owners; a
-// transaction's fields are dead once issue() returns (the completion
-// callback is copied into the engine event, observers run
-// synchronously), so the slot goes back on the free list instead of to
-// the garbage collector.
+// allocates one on a cold start).  A transaction's fields are dead once
+// issue() returns (the completion callback is copied into the engine
+// event, observers run synchronously), so the slot goes back on the
+// free list instead of to the garbage collector.
 //
 //redvet:hotpath
 func (ch *channel) getTxn() *Txn {
@@ -410,78 +318,7 @@ type Observer func(t *Txn, rowHit bool, cycles int64)
 func (c *Controller) SetObserver(o Observer) { c.observer = o }
 
 // SetFaultInjector installs the fault source (nil disables injection).
-func (c *Controller) SetFaultInjector(inj *fault.Injector) {
-	c.inj = inj
-	for i := range c.chans {
-		c.chans[i].inj = inj
-	}
-}
-
-// Channels reports the channel count (the number of shards this
-// controller occupies when sharded).
-func (c *Controller) Channels() int { return len(c.chans) }
-
-// Name reports the configured device name (e.g. "WideIO", "DDR4") for
-// shard-plan and provenance reporting.
-func (c *Controller) Name() string { return c.cfg.Name }
-
-// Shardable reports whether the controller's channels can run on their
-// own shards: hooks and observers couple channel scheduling to shard-0
-// components (the RCU manager piggybacks and reenters the enqueue path;
-// the Fig-3 observer mutates a shard-0 histogram inside issue()), so a
-// controller carrying any of them stays pinned to shard 0.
-func (c *Controller) Shardable() bool {
-	return c.writeHook == nil && c.idleHook == nil && c.observer == nil
-}
-
-// SetSharding routes each channel's command scheduling through its own
-// shard of shd — channel i runs on shard first+i.  Must be called after
-// every hook, observer, and fault injector is installed and before any
-// transaction is enqueued; it reports false (leaving the controller on
-// the classic single-engine plan) when the controller is not Shardable.
-//
-// Sharded channels accumulate traffic into private shadow interfaces
-// and draw faults from per-channel injector views; both are folded into
-// the shared counters at every window barrier in fixed channel order by
-// the hook this registers, so the run's totals are independent of the
-// worker count.
-func (c *Controller) SetSharding(shd *engine.Sharded, first int) bool {
-	if !c.Shardable() {
-		return false
-	}
-	c.sharded = shd
-	for i := range c.chans {
-		ch := &c.chans[i]
-		ch.shardIdx = first + i
-		ch.shard = shd.Shard(ch.shardIdx)
-		ch.eng = ch.shard.Engine()
-		ch.iface = &ch.shadow
-		ch.inj = c.inj.DeriveView(uint64(ch.shardIdx))
-	}
-	shd.OnWindowEnd(c.foldShadows)
-	return true
-}
-
-// foldShadows folds every channel's window-local statistics into the
-// shared interface, and the fault views' counters into the parent
-// injector, in fixed channel order.  Runs on the coordinator at window
-// barriers, when every shard is quiescent.
-func (c *Controller) foldShadows() {
-	for i := range c.chans {
-		ch := &c.chans[i]
-		sh := &ch.shadow
-		c.iface.ReadBytes += sh.ReadBytes
-		c.iface.WriteBytes += sh.WriteBytes
-		c.iface.BusyCycles += sh.BusyCycles
-		c.iface.Requests += sh.Requests
-		c.iface.RowHits += sh.RowHits
-		c.iface.RowMisses += sh.RowMisses
-		c.iface.Activates += sh.Activates
-		c.iface.Refreshes += sh.Refreshes
-		ch.shadow = stats.Interface{}
-		c.inj.FoldStats(ch.inj)
-	}
-}
+func (c *Controller) SetFaultInjector(inj *fault.Injector) { c.inj = inj }
 
 // Interface exposes the traffic statistics this controller accumulates
 // (the RedCache α controller reads bus utilization from it).
@@ -571,12 +408,8 @@ func (c *Controller) Refreshing(addr mem.Addr) bool {
 	return c.eng.Now() < ch.refreshEnd
 }
 
-// enqueue stages one transaction.  Always called on shard 0 (the L3 /
-// cache-controller side); when the controller is sharded it hands the
-// transaction to the owning channel's shard through the hand-off ring
-// plus an arrival event posted at the current cycle, which the window
-// plan merges into the channel's heap before its phase of the same
-// window — so arrival order and arrival cycle match the classic plan.
+// enqueue stages one transaction in its channel's read or write queue
+// and wakes the channel's scheduler.
 //
 //redvet:hotpath
 func (c *Controller) enqueue(addr mem.Addr, op Op, bytes int, prio bool, onDone func(int64)) {
@@ -593,11 +426,6 @@ func (c *Controller) enqueue(addr mem.Addr, op Op, bytes int, prio bool, onDone 
 	t.Arrive = c.eng.Now()
 	t.Loc = loc
 	c.iface.Requests++
-	if c.sharded != nil {
-		ch.handoff.push(t)
-		c.sharded.PostArg(ch.shardIdx, t.Arrive, c.arriveFn, uint64(loc.Channel))
-		return
-	}
 	if ch.rdq.len()+ch.wrq.len() >= c.MaxQueue {
 		panic("dram: transaction queue overflow (missing upstream flow control)")
 	}
@@ -607,7 +435,7 @@ func (c *Controller) enqueue(addr mem.Addr, op Op, bytes int, prio bool, onDone 
 
 //redvet:hotpath
 func (c *Controller) kick(chIdx int) {
-	c.wake(chIdx, c.chans[chIdx].eng.Now())
+	c.wake(chIdx, c.eng.Now())
 }
 
 // wake arranges for a scheduling decision on the channel at cycle `at`.
@@ -618,7 +446,7 @@ func (c *Controller) kick(chIdx int) {
 //redvet:hotpath
 func (c *Controller) wake(chIdx int, at int64) {
 	ch := &c.chans[chIdx]
-	if now := ch.eng.Now(); at < now {
+	if now := c.eng.Now(); at < now {
 		at = now
 	}
 	if ch.hasPending && ch.pendingAt <= at {
@@ -626,7 +454,7 @@ func (c *Controller) wake(chIdx int, at int64) {
 	}
 	ch.hasPending = true
 	ch.pendingAt = at
-	ch.eng.ScheduleArg(at, c.wakeFn, uint64(chIdx))
+	c.eng.ScheduleArg(at, c.wakeFn, uint64(chIdx))
 }
 
 // readyAt returns the cycle at which t's *first* DRAM command (precharge
@@ -717,7 +545,7 @@ const commitHorizon = 8
 //redvet:hotpath
 func (c *Controller) trySchedule(chIdx int) {
 	ch := &c.chans[chIdx]
-	now := ch.eng.Now()
+	now := c.eng.Now()
 
 	if ch.rdq.len()+ch.wrq.len() == 0 {
 		if c.idleHook != nil {
@@ -774,9 +602,9 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 	rowHit := b.openRow == t.Loc.Row
 	if rowHit {
 		colReady = max(now, b.actAt+tm.TRCD)
-		ch.iface.RowHits++
+		c.iface.RowHits++
 	} else {
-		ch.iface.RowMisses++
+		c.iface.RowMisses++
 		// Precharge (if a row is open), respecting tRAS/tRTP/tWR.
 		preAt := now
 		if b.openRow >= 0 {
@@ -786,11 +614,11 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 		actAt := max(preAt+boolTo64(b.openRow >= 0)*tm.TRP,
 			b.rcReady, b.readyAt, rk.lastAct+tm.TRRD,
 			rk.actHist[rk.actIdx]+tm.TFAW)
-		if ch.inj.RowActivate(t.Loc.Channel, t.Loc.Rank, t.Loc.Bank, t.Loc.Row) {
+		if c.inj.RowActivate(t.Loc.Channel, t.Loc.Rank, t.Loc.Bank, t.Loc.Row) {
 			// The activation failed (detected by the die): retry after a
 			// fresh precharge-activate cycle, charging the extra command.
 			actAt += tm.TRP + tm.TRCD
-			ch.iface.Activates++
+			c.iface.Activates++
 		}
 		b.actAt = actAt
 		b.rcReady = actAt + tm.TRC
@@ -799,7 +627,7 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 		rk.lastAct = actAt
 		rk.actHist[rk.actIdx] = actAt
 		rk.actIdx = (rk.actIdx + 1) % 4
-		ch.iface.Activates++
+		c.iface.Activates++
 		colReady = actAt + tm.TRCD
 	}
 
@@ -834,10 +662,10 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 			// Piggybacked same-row RCU updates extend the transfer
 			// instead of paying a new turnaround.
 			burstCycles += busCycles(extra, tm.TBL)
-			ch.iface.WriteBytes += int64(extra)
+			c.iface.WriteBytes += int64(extra)
 		}
 	}
-	if ch.inj.BusBurst(t.Loc.Channel, t.Bytes) {
+	if c.inj.BusBurst(t.Loc.Channel, t.Bytes) {
 		// Link CRC caught a transient error: the whole burst (including
 		// any piggybacked bytes) is retransmitted, doubling its bus
 		// occupancy without moving extra payload.
@@ -852,12 +680,12 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 	ch.busFreeAt = dataEnd
 	if t.Op == OpRead {
 		b.lastRdAt = cmdAt
-		ch.iface.ReadBytes += int64(t.Bytes)
+		c.iface.ReadBytes += int64(t.Bytes)
 	} else {
 		b.lastWrEnd = dataEnd
-		ch.iface.WriteBytes += int64(t.Bytes)
+		c.iface.WriteBytes += int64(t.Bytes)
 	}
-	ch.iface.BusyCycles += burstCycles
+	c.iface.BusyCycles += burstCycles
 
 	if c.observer != nil {
 		cost := burstCycles
@@ -868,17 +696,9 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 	}
 
 	if t.onDone != nil {
-		if ch.shard != nil {
-			// Sharded: the completion belongs to shard 0.  dataEnd sits
-			// past the current window's end by the ShardWindow bound
-			// (asserted at post time), so the hand-off merges cleanly at
-			// the next barrier.
-			ch.shard.PostTimed(dataEnd, t.onDone)
-		} else {
-			// ScheduleTimed passes the firing cycle (== dataEnd) to onDone,
-			// storing the func value verbatim — no wrapper closure.
-			ch.eng.ScheduleTimed(dataEnd, t.onDone)
-		}
+		// ScheduleTimed passes the firing cycle (== dataEnd) to onDone,
+		// storing the func value verbatim — no wrapper closure.
+		c.eng.ScheduleTimed(dataEnd, t.onDone)
 	}
 	return dataStart
 }
@@ -886,7 +706,7 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 //redvet:hotpath
 func (c *Controller) doRefresh(chIdx int, ch *channel) {
 	tm := c.cfg.Timing
-	now := ch.eng.Now()
+	now := c.eng.Now()
 	end := now + tm.TRFC
 	ch.refreshEnd = end
 	ch.nextRefresh = now + tm.TREFI
@@ -901,7 +721,7 @@ func (c *Controller) doRefresh(chIdx int, ch *channel) {
 	}
 	ch.rdq.clearHits()
 	ch.wrq.clearHits()
-	ch.iface.Refreshes++
+	c.iface.Refreshes++
 	c.wake(chIdx, end)
 }
 

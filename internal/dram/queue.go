@@ -27,7 +27,7 @@ import (
 // (bank, row) has the same readyAt, so the lowest-index tie-break in
 // the fallback scan picks the head too.  Removal is O(1) on both lists.
 //
-//redvet:shardlocal
+//redvet:state
 type rowQueue struct {
 	head, tail *Txn
 	n          int
@@ -46,7 +46,7 @@ type rowQueue struct {
 // rowFIFO is a queue's FIFO of transactions to one (rank, bank, row),
 // linked through Txn.rowNext.  A slot with a nil head is empty.
 //
-//redvet:shardlocal
+//redvet:state
 type rowFIFO struct {
 	key        uint64
 	head, tail *Txn

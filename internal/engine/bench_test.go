@@ -27,32 +27,6 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkEngineCrossShardHandoff measures the mergepoint path: one
-// inbox post (the channel-shard side of a completion hand-off) plus its
-// share of the window-boundary merge into the destination heap and the
-// fired event.  This is the per-event overhead sharding adds on top of
-// the Schedule+Step cost measured by EngineScheduleFire.
-func BenchmarkEngineCrossShardHandoff(b *testing.B) {
-	const window = 44
-	const batch = 64 // hand-offs per merged window
-	s := NewSharded(New(), 1, window, 1)
-	src := s.Shard(1)
-	sink := func(int64) {}
-	at := int64(window)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		s.curEnd = at // post-time lookahead floor, as during a phase B
-		for j := 0; j < batch; j++ {
-			src.PostTimed(at+int64(j%7), sink)
-		}
-		at += window
-		s.mergeAll()
-		s.shards[0].runBefore(at)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
 // BenchmarkEngineEndToEnd drains a full schedule per iteration — the
 // Run() path (pop loop, clock advance, limit check) rather than the
 // per-event Step path.

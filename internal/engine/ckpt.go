@@ -2,8 +2,8 @@ package engine
 
 // Checkpoint support: the event heap stores bare func values, which
 // cannot be serialized — so every callback that can be live in a heap
-// (or an inbox) at a checkpoint boundary is registered once at wire-up
-// under a stable structural key.  Saving maps each queued event's func
+// at a checkpoint boundary is registered once at wire-up under a stable
+// structural key.  Saving maps each queued event's func
 // value back to its key through funcval-pointer identity; loading
 // resolves keys against the freshly wired machine's registry, so a
 // restored heap fires the new machine's callbacks in the old order.
@@ -34,9 +34,6 @@ const (
 	// KeyDRAMWake: a DRAM channel scheduler wake, a = controller id,
 	// b = channel index.
 	KeyDRAMWake uint8 = 4
-	// KeyDRAMArrive: a DRAM sharded-arrival drain, a = controller id,
-	// b = channel index.
-	KeyDRAMArrive uint8 = 5
 	// KeyHBMOp: an HBM controller miss-op continuation, b = pool index.
 	KeyHBMOp uint8 = 6
 	// KeyTxnDone: a DRAM transaction completion that is not a
@@ -173,10 +170,7 @@ func (r *FnRegistry) PtrByKey(key uint64) (unsafe.Pointer, bool) {
 }
 
 // Section tags for the engine-owned payload regions.
-const (
-	tagEngine  = 0x454e4731 // "ENG1"
-	tagSharded = 0x53484431 // "SHD1"
-)
+const tagEngine = 0x454e4731 // "ENG1"
 
 // Event heap bound for Count validation: no simulated machine queues
 // anywhere near this many events.
@@ -193,7 +187,6 @@ func (e *Engine) SaveState(w *ckpt.Writer, reg *FnRegistry) error {
 	w.U64(e.seq)
 	w.U64(e.Fired)
 	w.Int(e.periodicTicks)
-	w.Bool(e.extPending)
 
 	evs := append([]Event(nil), e.events...)
 	sort.Slice(evs, func(i, j int) bool {
@@ -242,7 +235,6 @@ func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 	e.seq = r.U64()
 	e.Fired = r.U64()
 	e.periodicTicks = r.Int()
-	e.extPending = r.Bool()
 
 	n := r.Count(maxHeapEvents)
 	if err := r.Err(); err != nil {
@@ -301,87 +293,4 @@ func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 		p.stopped = r.Bool()
 	}
 	return r.Err()
-}
-
-// SaveState serializes a sharded run at a window barrier: every shard
-// heap in shard order, plus the inbox ring sequence counters.  It is
-// only legal between windows (RunWindows' pause point), where every
-// inbox has been merged — a non-empty inbox means the caller is mid-
-// window and the save refuses.
-func (s *Sharded) SaveState(w *ckpt.Writer, reg *FnRegistry) error {
-	for dst := range s.inbox {
-		for src := range s.inbox[dst] {
-			if len(s.inbox[dst][src].buf) > 0 {
-				return fmt.Errorf("engine: sharded save outside a window barrier: inbox %d<-%d holds %d entries",
-					dst, src, len(s.inbox[dst][src].buf))
-			}
-		}
-	}
-	w.Tag(tagSharded)
-	w.I64(s.curEnd)
-	w.Count(len(s.shards))
-	for _, e := range s.shards {
-		if err := e.SaveState(w, reg); err != nil {
-			return err
-		}
-	}
-	for dst := range s.inbox {
-		for src := range s.inbox[dst] {
-			w.U64(s.inbox[dst][src].seq)
-		}
-	}
-	return nil
-}
-
-// LoadState restores a sharded run into a freshly wired machine with
-// an identical shard plan.
-func (s *Sharded) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
-	r.Tag(tagSharded)
-	s.curEnd = r.I64()
-	n := r.Count(1 << 16)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(s.shards) {
-		return fmt.Errorf("engine: checkpoint has %d shards, machine wired %d: %w",
-			n, len(s.shards), ckpt.ErrCorrupt)
-	}
-	for _, e := range s.shards {
-		if err := e.LoadState(r, reg); err != nil {
-			return err
-		}
-	}
-	for dst := range s.inbox {
-		for src := range s.inbox[dst] {
-			s.inbox[dst][src].seq = r.U64()
-		}
-	}
-	return r.Err()
-}
-
-// RunWindows executes whole windows until the run drains or the next
-// window would start past deadline, reporting whether it drained.
-// Unlike RunWithin the window end is never clamped to the deadline, so
-// the window grid — and with it the inbox merge batching and the
-// stamped sequence numbers — is byte-identical to an uninterrupted
-// Run.  That makes the pause observationally free, which is exactly
-// what the checkpoint cadence needs: it returns only at a window
-// barrier, where every inbox is empty and no cross-shard event is in
-// flight.
-func (s *Sharded) RunWindows(deadline int64) bool {
-	for {
-		s.mergeAllProf()
-		base, ok := s.nextBase()
-		if !ok {
-			return true
-		}
-		if base > deadline {
-			return false
-		}
-		end := base + s.window
-		if s.prof != nil {
-			s.prof.WindowStart(base, end)
-		}
-		s.runWindow(end)
-	}
 }

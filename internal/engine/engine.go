@@ -46,12 +46,6 @@ type Engine struct {
 	// periodic can tell "only other periodics remain" apart from "real
 	// work is still pending" when deciding whether to auto-stop.
 	periodicTicks int
-	// extPending reports work queued *outside* this engine (other shards'
-	// heaps or unmerged inboxes when the engine is shard 0 of a Sharded
-	// run).  While set, an empty-but-for-periodics queue does not mean the
-	// run is over, so periodic auto-stop and the trailing-tick frozen
-	// clock are both suppressed.  Always false in single-engine runs.
-	extPending bool
 	// periodics records every Periodic created on this engine in
 	// creation order, and reg (when attached before any
 	// SchedulePeriodic call) keys their tick callbacks for
@@ -328,46 +322,6 @@ func (e *Engine) RunWithin(deadline int64) bool {
 // loop is inlined: the heap head is read once per iteration instead of
 // re-checking emptiness and re-reading it through Step.
 //
-// headAt reports the firing time of the earliest queued event; ok is
-// false on an empty queue.  The sharded coordinator uses it to pick the
-// next window base across shard heaps.
-//
-//redvet:hotpath
-func (e *Engine) headAt() (at int64, ok bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
-}
-
-// runBefore executes queued events with firing time strictly below end,
-// leaving the clock at the last fired event.  This is the per-shard
-// body of one conservative lookahead window: events the shard schedules
-// onto itself inside the window run in the same pass, while everything
-// at or past end waits for the next window.  The Limit backstop applies
-// as in Run — a same-cycle scheduling loop never crosses the window
-// boundary on its own, so without it the loop would spin inside one
-// window forever.  The trailing-tick frozen clock also applies, but
-// only once no work remains outside this engine (extPending).
-//
-//redvet:hotpath
-func (e *Engine) runBefore(end int64) {
-	for len(e.events) > 0 && e.events[0].at < end {
-		if e.Limit != 0 && e.Fired >= e.Limit {
-			panic("engine: event limit exceeded (likely a scheduling loop)")
-		}
-		ev := e.pop()
-		if len(e.events) < e.periodicTicks && !e.extPending {
-			// Trailing periodic tick: frozen clock, as in Run.
-			ev.at = e.now
-		} else {
-			e.now = ev.at
-		}
-		e.Fired++
-		e.fire(&ev)
-	}
-}
-
 //redvet:hotpath
 func (e *Engine) RunUntil(deadline int64) {
 	for len(e.events) > 0 && e.events[0].at <= deadline {

@@ -49,10 +49,9 @@ func (p *Periodic) run(now int64) {
 		return
 	}
 	p.fn(now)
-	if p.e.Pending() == p.e.periodicTicks && !p.e.extPending {
-		// Everything still queued is other periodics' ticks — and, in a
-		// sharded run, nothing is pending on the other shards either: no
-		// real work remains, so stop instead of keeping the run alive.
+	if p.e.Pending() == p.e.periodicTicks {
+		// Everything still queued is other periodics' ticks: no real
+		// work remains, so stop instead of keeping the run alive.
 		// The remaining periodics reach this same conclusion as they fire.
 		p.stopped = true
 		return

@@ -11,8 +11,8 @@ const tagFault = 0x464c5431 // "FLT1"
 // SaveState serializes the injector's PRNG streams and fault counters.
 // Nil-safe: a fault-free run writes a one-byte absence marker, so the
 // payload layout stays aligned whether or not injection is enabled.
-// The rate thresholds and seed are configuration (rebuilt by New and
-// DeriveView) and are written only to be verified at load.
+// The rate thresholds are configuration (rebuilt by New) and are
+// written only to be verified at load.
 func (inj *Injector) SaveState(w *ckpt.Writer) {
 	w.Tag(tagFault)
 	w.Bool(inj != nil)
@@ -24,7 +24,6 @@ func (inj *Injector) SaveState(w *ckpt.Writer) {
 		w.U64(inj.state[d])
 		w.U64(inj.thr[d])
 	}
-	w.U64(inj.seed)
 	w.I64(inj.s.TagFaults)
 	w.I64(inj.s.TagDetected)
 	w.I64(inj.s.TagSilent)
@@ -58,9 +57,6 @@ func (inj *Injector) LoadState(r *ckpt.Reader) error {
 			return fmt.Errorf("fault: domain %d threshold %#x, machine wired %#x: %w",
 				d, thr, inj.thr[d], ckpt.ErrCorrupt)
 		}
-	}
-	if seed := r.U64(); r.Err() == nil && seed != inj.seed {
-		return fmt.Errorf("fault: seed %#x, machine wired %#x: %w", seed, inj.seed, ckpt.ErrCorrupt)
 	}
 	inj.s.TagFaults = r.I64()
 	inj.s.TagDetected = r.I64()

@@ -108,7 +108,6 @@ func (s *Stats) Silent() int64 {
 type Injector struct {
 	state [numDomains]uint64 // per-domain splitmix64 states
 	thr   [numDomains]uint64 // fixed-point P(fault) thresholds; 0 = never
-	seed  uint64             // cfg.Seed, kept for view derivation
 	s     Stats
 	tr    *obs.Tracer
 }
@@ -119,7 +118,7 @@ func New(cfg config.Faults) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
-	inj := &Injector{seed: uint64(cfg.Seed)}
+	inj := &Injector{}
 	for d := domain(0); d < numDomains; d++ {
 		// Decorrelate domains by burning the seed through one splitmix64
 		// step per domain index before stream use.
@@ -136,49 +135,6 @@ func New(cfg config.Faults) *Injector {
 	inj.thr[domRow] = threshold(cfg.RowFail)
 	inj.thr[domBus] = threshold(cfg.BusError)
 	return inj
-}
-
-// DeriveView returns a child injector with the same fault rates but
-// per-domain streams re-seeded from (parent seed, tag).  The sharded
-// engine gives each parallel DRAM channel its own view tagged by
-// (interface, channel), so the draws a channel makes are a pure
-// function of the configuration — independent of how the scheduler
-// interleaves channels across workers.  Views carry no tracer (the
-// event trace is single-writer, owned by shard 0); their counters are
-// folded into the parent at window barriers via FoldStats.  Nil-safe.
-func (inj *Injector) DeriveView(tag uint64) *Injector {
-	if inj == nil {
-		return nil
-	}
-	v := &Injector{thr: inj.thr}
-	v.seed = mix64(inj.seed ^ mix64(tag+golden))
-	for d := domain(0); d < numDomains; d++ {
-		st := v.seed
-		for i := domain(0); i <= d; i++ {
-			st = mix64(st + golden)
-		}
-		v.state[d] = st
-	}
-	return v
-}
-
-// FoldStats accumulates a derived view's counters into the parent and
-// zeroes the view, so the parent's Stats stay the single report across
-// a sharded run.  Called by the coordinator between phases; both sides
-// are quiescent.  Nil-safe.
-func (inj *Injector) FoldStats(v *Injector) {
-	if inj == nil || v == nil {
-		return
-	}
-	inj.s.TagFaults += v.s.TagFaults
-	inj.s.TagDetected += v.s.TagDetected
-	inj.s.TagSilent += v.s.TagSilent
-	inj.s.DirtyDropped += v.s.DirtyDropped
-	inj.s.RCountFaults += v.s.RCountFaults
-	inj.s.SilentData += v.s.SilentData
-	inj.s.RowFaults += v.s.RowFaults
-	inj.s.BusFaults += v.s.BusFaults
-	v.s = Stats{}
 }
 
 // SetTracer wires the structured event trace (nil is fine).

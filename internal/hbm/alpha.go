@@ -22,7 +22,7 @@ import (
 // without ever being reused, admission was too eager and α rises; if the
 // cache is mostly idle while traffic streams past it, α falls.
 //
-//redvet:shardlocal
+//redvet:state
 type alphaTable struct {
 	p config.RedCacheParams
 

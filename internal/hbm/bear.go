@@ -23,7 +23,7 @@ import (
 // in simulation (the functional tag store is available); real BEAR
 // tracks presence bits alongside L3 lines with small error.
 //
-//redvet:shardlocal
+//redvet:state
 type bear struct {
 	ctlBase
 	rng *rand.Rand

@@ -10,7 +10,7 @@ import (
 // functional tag store, statistics, victim bookkeeping, and the event
 // tracer (nil unless telemetry is wired — Emit on nil is a no-op).
 //
-//redvet:shardlocal
+//redvet:state
 type ctlBase struct {
 	d    deps
 	s    Stats

@@ -144,7 +144,7 @@ func (s *Stats) LastWriteShare() float64 {
 // hit/miss decisions are exact while the *timing* of tag access is paid
 // through the modeled TAD reads.
 //
-//redvet:shardlocal
+//redvet:state
 type tagEntry struct {
 	tag       uint64
 	valid     bool
@@ -155,7 +155,7 @@ type tagEntry struct {
 
 // tagStore is a direct-mapped tag array at transfer granularity G.
 //
-//redvet:shardlocal
+//redvet:state
 type tagStore struct {
 	entries []tagEntry
 	mask    uint64

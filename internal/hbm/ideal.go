@@ -8,7 +8,7 @@ import "redcache/internal/mem"
 // second HBM access after the bus turns around (Fig 7's premise that "a
 // single tag and data may be accessed per transfer").
 //
-//redvet:shardlocal
+//redvet:state
 type ideal struct {
 	d   deps
 	s   Stats

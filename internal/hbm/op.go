@@ -30,7 +30,7 @@ const (
 
 // op is one pooled continuation record.
 //
-//redvet:shardlocal
+//redvet:state
 type op struct {
 	// id is the op's creation ordinal in its pool — its stable
 	// checkpoint identity.
@@ -51,7 +51,7 @@ type op struct {
 // opPool recycles op records.  The free list is LIFO so a mostly-serial
 // miss stream reuses one record forever.
 //
-//redvet:shardlocal
+//redvet:state
 type opPool struct {
 	ops  []*op
 	free []*op

@@ -25,7 +25,7 @@ import (
 // rewrites the whole TAD anyway), and because the RAM holds the 32 most
 // recently read blocks it doubles as a tiny block cache.
 //
-//redvet:shardlocal
+//redvet:state
 type rcuEntry struct {
 	addr  mem.Addr
 	loc   dram.Location
@@ -36,7 +36,7 @@ type rcuEntry struct {
 // write into the 8 B tag+ECC region of the TAD, not a full 64 B burst.
 const rcUpdateBytes = 8
 
-//redvet:shardlocal
+//redvet:state
 type rcuManager struct {
 	hbm     *dram.Controller
 	cap     int

@@ -26,7 +26,7 @@ const regretCap = 4096
 // red implements the RedCache controller family over the direct-mapped
 // TAD organization (Fig 7 flow).
 //
-//redvet:shardlocal
+//redvet:state
 type red struct {
 	ctlBase
 	f     redFlags

@@ -10,9 +10,8 @@ import (
 )
 
 // DetSched proves that all simulated-time ordering in the simulator
-// core flows through the engine's (at, seq) total order — the property
-// the per-channel sharded engine needs before any intra-run parallelism
-// is safe.  It flags the constructs whose ordering the Go runtime (not
+// core flows through the engine's (at, seq) total order, so a run's
+// results are a pure function of its configuration.  It flags the constructs whose ordering the Go runtime (not
 // the event queue) decides:
 //
 //   - go statements (goroutine interleaving is scheduler-chosen),

@@ -61,8 +61,8 @@ func TestFactCacheRoundTrip(t *testing.T) {
 }
 
 // TestFactCacheRoundTripV4 repeats the round trip for the v4 proof
-// analyzers, whose cross-package facts (FoldCovers, WindowRet and
-// WindowNeed, WallRet and WallSinkParam) must survive serialization:
+// analyzers, whose cross-package facts (FoldCovers, WallRet and
+// WallSinkParam) must survive serialization:
 // each fixture's diagnostics depend on facts computed in its util
 // subpackage, so a fact dropped by the cache shows up as a diagnostic
 // diff between the fresh and the cached run.
@@ -73,7 +73,6 @@ func TestFactCacheRoundTripV4(t *testing.T) {
 		util     string
 	}{
 		{StateFold, "statefold", "foldutil"},
-		{WindowProof, "windowproof", "winutil"},
 		{WallFlow, "wallflow", "wallutil"},
 	}
 	for _, c := range cases {
@@ -118,7 +117,7 @@ func TestFactCacheRoundTripV4(t *testing.T) {
 // TestFactCacheKeyInvalidation pins the cache-key contract the v4
 // facts rely on: the key changes when the package's own export data or
 // any in-module dependency's export data changes (so edited sources can
-// never resurrect stale FoldCovers/Window/Wall facts), and packages
+// never resurrect stale FoldCovers/Wall facts), and packages
 // without export data are never keyed.
 func TestFactCacheKeyInvalidation(t *testing.T) {
 	dep := &Package{Path: "redcache/internal/config", Export: "/gocache/aa"}

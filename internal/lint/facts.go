@@ -63,12 +63,8 @@ type FuncFacts struct {
 	// this function scheduling-nondeterministic ("go statement", "calls
 	// pkg.F (go statement)", ...).  Empty means statically proven to
 	// order all simulated-time effects through the engine's (at, seq)
-	// total order — the property the sharded engine needs transitively.
+	// total order.
 	Nondet string `json:"nondet,omitempty"`
-	// Mergepoint records the //redvet:mergepoint annotation: the function
-	// is a sanctioned cross-shard flow point (deterministic merge), so
-	// shard-local state may legally pass through it.
-	Mergepoint bool `json:"mergepoint,omitempty"`
 
 	// UnorderedReturn marks result i as a slice whose element order is
 	// not deterministic (gathered from a map range and never sorted).
@@ -84,23 +80,6 @@ type FuncFacts struct {
 	// whole struct).  Exported by statefold; makes fold-exhaustiveness
 	// proofs transitive across helper calls and package boundaries.
 	FoldCovers map[string][]string `json:"foldCovers,omitempty"`
-
-	// WindowRet carries result i's window-domain label mask (winNow:
-	// anchored at the engine's current cycle; winDur: lower-bounded by a
-	// DRAM-timing term covering config.DRAMTiming.ShardWindow()).
-	WindowRet []uint8 `json:"windowRet,omitempty"`
-	// WindowRetFromParam marks result i as inheriting its window labels
-	// from parameter j (identity-ish flow, windowproof).
-	WindowRetFromParam [][]bool `json:"windowRetFromParam,omitempty"`
-	// WindowNeed is the label mask this function's mergepoint hand-offs
-	// still need from callers; WindowNeedParam marks the parameters whose
-	// argument labels can discharge it at the call site.
-	WindowNeed      uint8  `json:"windowNeed,omitempty"`
-	WindowNeedParam []bool `json:"windowNeedParam,omitempty"`
-	// WindowSafe records the //redvet:windowsafe annotation: the
-	// function (and any deadline it returns) is trusted to respect the
-	// shard window without a structural proof.
-	WindowSafe bool `json:"windowSafe,omitempty"`
 
 	// WallRet marks result i as wall-clock-derived (wallflow).
 	WallRet []bool `json:"wallRet,omitempty"`
@@ -121,18 +100,15 @@ type PackageFacts struct {
 	// have been observed holding nanosecond-domain values to a short
 	// reason string describing the write that tainted them.
 	Tainted map[string]string `json:"tainted,omitempty"`
-	// ShardLocal maps type names annotated //redvet:shardlocal in this
-	// package to the annotation's justification (may be empty — the
-	// marker adds obligations, it doesn't suppress).  The future sharded
-	// engine consumes these to know which state is confinement-proven.
-	ShardLocal map[string]string `json:"shardLocal,omitempty"`
+	// State maps type names annotated //redvet:state in this package
+	// to the annotation's justification (may be empty — the marker adds
+	// obligations, it doesn't suppress).  statefold holds their
+	// fold-family and checkpoint codec functions field-exhaustive.
+	State map[string]string `json:"state,omitempty"`
 	// FoldExempt maps field keys ("TypeName.field") of types declared in
 	// this package to the //redvet:foldexempt justification: the field is
 	// deliberately outside the fold-exhaustiveness proof (statefold).
 	FoldExempt map[string]string `json:"foldExempt,omitempty"`
-	// WindowFields maps field keys ("TypeName.field") to the window-
-	// domain label mask observed stored into them (windowproof).
-	WindowFields map[string]uint8 `json:"windowFields,omitempty"`
 	// WallFields maps field keys that have been observed holding
 	// wall-clock-derived values to a reason string (wallflow).
 	WallFields map[string]string `json:"wallFields,omitempty"`
@@ -160,12 +136,11 @@ func (s *FactStore) pkg(pkgPath string) *PackageFacts {
 	pf := s.pkgs[pkgPath]
 	if pf == nil {
 		pf = &PackageFacts{
-			Funcs:        make(map[string]*FuncFacts),
-			Tainted:      make(map[string]string),
-			ShardLocal:   make(map[string]string),
-			FoldExempt:   make(map[string]string),
-			WindowFields: make(map[string]uint8),
-			WallFields:   make(map[string]string),
+			Funcs:      make(map[string]*FuncFacts),
+			Tainted:    make(map[string]string),
+			State:      make(map[string]string),
+			FoldExempt: make(map[string]string),
+			WallFields: make(map[string]string),
 		}
 		s.pkgs[pkgPath] = pf
 	}
@@ -243,36 +218,21 @@ func (s *FactStore) TaintReason(pkgPath, key string) (string, bool) {
 	return r, ok
 }
 
-// MarkShardLocal records that typeName (declared in pkgPath) carries
-// the //redvet:shardlocal confinement annotation.
-func (s *FactStore) MarkShardLocal(pkgPath, typeName, justification string) {
-	s.pkg(pkgPath).ShardLocal[typeName] = justification
+// MarkState records that typeName (declared in pkgPath) carries the
+// //redvet:state marker.
+func (s *FactStore) MarkState(pkgPath, typeName, justification string) {
+	s.pkg(pkgPath).State[typeName] = justification
 }
 
-// IsShardLocal reports whether typeName in pkgPath is annotated
-// //redvet:shardlocal.
-func (s *FactStore) IsShardLocal(pkgPath, typeName string) bool {
+// IsState reports whether typeName in pkgPath is annotated
+// //redvet:state.
+func (s *FactStore) IsState(pkgPath, typeName string) bool {
 	pf := s.pkgs[pkgPath]
 	if pf == nil {
 		return false
 	}
-	_, ok := pf.ShardLocal[typeName]
+	_, ok := pf.State[typeName]
 	return ok
-}
-
-// ShardLocalTypes returns the annotated type names of pkgPath, sorted
-// (for the sharded engine's consumption and for tests).
-func (s *FactStore) ShardLocalTypes(pkgPath string) []string {
-	pf := s.pkgs[pkgPath]
-	if pf == nil {
-		return nil
-	}
-	out := make([]string, 0, len(pf.ShardLocal))
-	for name := range pf.ShardLocal {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MarkFoldExempt records that field fieldKey ("TypeName.field") of a
@@ -290,29 +250,6 @@ func (s *FactStore) IsFoldExempt(pkgPath, fieldKey string) bool {
 	}
 	_, ok := pf.FoldExempt[fieldKey]
 	return ok
-}
-
-// MergeWindowField ORs mask into the window-domain labels recorded for
-// fieldKey in pkgPath, reporting whether the record grew.
-func (s *FactStore) MergeWindowField(pkgPath, fieldKey string, mask uint8) bool {
-	if mask == 0 {
-		return false
-	}
-	pf := s.pkg(pkgPath)
-	if pf.WindowFields[fieldKey]&mask == mask {
-		return false
-	}
-	pf.WindowFields[fieldKey] |= mask
-	return true
-}
-
-// WindowField returns the window-domain labels recorded for fieldKey.
-func (s *FactStore) WindowField(pkgPath, fieldKey string) uint8 {
-	pf := s.pkgs[pkgPath]
-	if pf == nil {
-		return 0
-	}
-	return pf.WindowFields[fieldKey]
 }
 
 // TaintWall records that fieldKey has been observed holding a
@@ -377,14 +314,11 @@ func (s *FactStore) ImportPackage(pkgPath string, data []byte) error {
 	if pf.Tainted == nil {
 		pf.Tainted = make(map[string]string)
 	}
-	if pf.ShardLocal == nil {
-		pf.ShardLocal = make(map[string]string)
+	if pf.State == nil {
+		pf.State = make(map[string]string)
 	}
 	if pf.FoldExempt == nil {
 		pf.FoldExempt = make(map[string]string)
-	}
-	if pf.WindowFields == nil {
-		pf.WindowFields = make(map[string]uint8)
 	}
 	if pf.WallFields == nil {
 		pf.WallFields = make(map[string]string)

@@ -32,9 +32,8 @@
 //
 // on the flagged line or the line above suppresses the diagnostic.  The
 // directive token is analyzer-specific (ordered, wallclock, units,
-// statshook, alloc, unitflow, detsafe, mergepoint, fporder,
-// foldexempt, windowsafe, wallflow) so a justification for one
-// invariant never silences another.  A
+// statshook, alloc, unitflow, detsafe, fporder, foldexempt, wallflow)
+// so a justification for one invariant never silences another.  A
 // suppression without a non-empty justification is itself a finding
 // (the directive audit, analyzer name "directive").
 //
@@ -46,23 +45,15 @@
 //	                      amortized warm-up allocation (pool refill,
 //	                      ring growth) and may be called from hotpath
 //	                      functions; requires a justification
-//	//redvet:shardlocal — the type below must be provably confined to
-//	                      one owning component (checked by shardlocal);
-//	                      like hotpath it adds obligations, so no
-//	                      justification is required
-//	//redvet:mergepoint — the function below is a sanctioned
-//	                      cross-shard flow point (deterministic merge);
-//	                      it doubles as the shardlocal analyzer's
-//	                      per-site suppression and requires a
-//	                      justification either way
+//	//redvet:state      — the struct below is simulation state whose
+//	                      fold-family and SaveState/LoadState codec
+//	                      functions must be field-exhaustive (checked
+//	                      by statefold); like hotpath it adds
+//	                      obligations, so no justification is required
 //	//redvet:foldexempt — the struct field below is deliberately outside
 //	                      the statefold fold-exhaustiveness proof
 //	                      (identity labels, centrally-counted totals);
 //	                      requires a justification
-//	//redvet:windowsafe — the function below is trusted to respect the
-//	                      conservative shard window without a structural
-//	                      windowproof derivation; requires a
-//	                      justification
 package lint
 
 import (
@@ -226,13 +217,13 @@ type Directive struct {
 var suppressionTokens = map[string]bool{
 	"ordered": true, "wallclock": true, "units": true, "statshook": true,
 	"alloc": true, "unitflow": true, "coldstart": true,
-	"detsafe": true, "mergepoint": true, "fporder": true,
-	"foldexempt": true, "windowsafe": true, "wallflow": true,
+	"detsafe": true, "fporder": true,
+	"foldexempt": true, "wallflow": true,
 }
 
 // markerTokens are contract markers that add obligations instead of
 // removing them; they need no justification.
-var markerTokens = map[string]bool{"hotpath": true, "shardlocal": true}
+var markerTokens = map[string]bool{"hotpath": true, "state": true}
 
 // directiveLines extracts redvet directives from a file's comments,
 // keyed by the line the comment ends on.
@@ -330,27 +321,25 @@ type Session struct {
 	// fall outside the scopes the production driver applies.
 	IgnoreScope bool
 	// Proof accumulates the per-site obligation counts the v4 analyzers
-	// discharge during their Run phases (fold/window/wallflow).
+	// discharge during their Run phases (fold/wallflow).
 	Proof ProofStats
 }
 
 // ProofStats counts statically discharged proof obligations across one
 // session: annotation obligations carried in the fact store (hotpath,
-// shardlocal, mergepoint) and the per-site proofs the v4 analyzers
-// complete over the target packages (fold-exhaustive fields, window-
-// bounded hand-offs, wall-clock source confinement).
+// state) and the per-site proofs the v4 analyzers complete over the
+// target packages (fold-exhaustive fields, wall-clock source
+// confinement).
 type ProofStats struct {
-	Hotpath    int `json:"hotpath"`
-	ShardLocal int `json:"shardlocal"`
-	Mergepoint int `json:"mergepoint"`
-	Fold       int `json:"fold"`
-	Window     int `json:"window"`
-	Wallflow   int `json:"wallflow"`
+	Hotpath  int `json:"hotpath"`
+	State    int `json:"state"`
+	Fold     int `json:"fold"`
+	Wallflow int `json:"wallflow"`
 }
 
 func (ps ProofStats) String() string {
-	return fmt.Sprintf("hotpath=%d shardlocal=%d mergepoint=%d fold=%d window=%d wallflow=%d",
-		ps.Hotpath, ps.ShardLocal, ps.Mergepoint, ps.Fold, ps.Window, ps.Wallflow)
+	return fmt.Sprintf("hotpath=%d state=%d fold=%d wallflow=%d",
+		ps.Hotpath, ps.State, ps.Fold, ps.Wallflow)
 }
 
 // ProofStats returns the session's proof-obligation counts: annotation
@@ -363,13 +352,10 @@ func (s *Session) ProofStats() ProofStats {
 		if pf == nil {
 			continue
 		}
-		ps.ShardLocal += len(pf.ShardLocal)
+		ps.State += len(pf.State)
 		for _, ff := range pf.Funcs {
 			if ff.Hotpath {
 				ps.Hotpath++
-			}
-			if ff.Mergepoint {
-				ps.Mergepoint++
 			}
 		}
 	}
@@ -441,7 +427,7 @@ func auditDirectives(pkg *Package) []Diagnostic {
 					out = append(out, Diagnostic{
 						Analyzer: "directive",
 						Pos:      pkg.Fset.Position(d.Pos),
-						Message:  fmt.Sprintf("unknown redvet directive %q (known: alloc, coldstart, detsafe, foldexempt, fporder, hotpath, mergepoint, ordered, shardlocal, statshook, units, unitflow, wallclock, wallflow, windowsafe)", d.Tok),
+						Message:  fmt.Sprintf("unknown redvet directive %q (known: alloc, coldstart, detsafe, foldexempt, fporder, hotpath, ordered, state, statshook, units, unitflow, wallclock, wallflow)", d.Tok),
 					})
 				case suppressionTokens[d.Tok] && d.Just == "":
 					out = append(out, Diagnostic{
@@ -456,14 +442,12 @@ func auditDirectives(pkg *Package) []Diagnostic {
 	return out
 }
 
-// All returns the full redvet analyzer suite.  ShardLocal precedes the
-// v4 analyzers so their fact phases see the same package's shardlocal
-// and mergepoint annotations.
+// All returns the full redvet analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetMapRange, NoWallClock, CycleUnits, StatsPath, NoAlloc, UnitFlow,
-		DetSched, ShardLocal, FPOrder,
-		StateFold, WindowProof, WallFlow,
+		DetSched, FPOrder,
+		StateFold, WallFlow,
 	}
 }
 

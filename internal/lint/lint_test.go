@@ -99,10 +99,8 @@ func TestStatsPath(t *testing.T)   { runFixture(t, StatsPath, "statspath") }
 func TestNoAlloc(t *testing.T)     { runFixture(t, NoAlloc, "noalloc") }
 func TestUnitFlow(t *testing.T)    { runFixture(t, UnitFlow, "unitflow") }
 func TestDetSched(t *testing.T)    { runFixture(t, DetSched, "detsched") }
-func TestShardLocal(t *testing.T)  { runFixture(t, ShardLocal, "shardlocal") }
 func TestFPOrder(t *testing.T)     { runFixture(t, FPOrder, "fporder") }
 func TestStateFold(t *testing.T)   { runFixture(t, StateFold, "statefold") }
-func TestWindowProof(t *testing.T) { runFixture(t, WindowProof, "windowproof") }
 func TestWallFlow(t *testing.T)    { runFixture(t, WallFlow, "wallflow") }
 
 // TestRepoIsClean runs the full suite over the whole repository — the
@@ -172,30 +170,20 @@ func TestScopes(t *testing.T) {
 		{DetSched, "redcache/cmd/redbench", false},
 		{DetSched, "redcache/internal/lint", false},
 		{DetSched, "redcache/internal/lint/testdata/src/detsched", true},
-		{ShardLocal, "redcache/internal/dram", true},
-		{ShardLocal, "redcache/internal/hbm", true},
-		{ShardLocal, "redcache/internal/experiments", false},
-		{ShardLocal, "redcache/internal/lint", false},
-		{ShardLocal, "redcache/internal/lint/testdata/src/shardlocal", true},
 		{FPOrder, "redcache/internal/stats", true},
 		{FPOrder, "redcache/internal/experiments", true},
 		{FPOrder, "redcache/internal/lint", false},
 		{FPOrder, "redcache/internal/lint/testdata/src/fporder", true},
 		{StateFold, "redcache/internal/dram", true},
+		{StateFold, "redcache/internal/hbm", true},
 		{StateFold, "redcache/internal/stats", true},
 		{StateFold, "redcache/internal/experiments", false},
 		{StateFold, "redcache/internal/lint", false},
 		{StateFold, "redcache/internal/lint/testdata/src/statefold", true},
-		{StateFold, "redcache/internal/lint/testdata/src/windowproof", false},
-		{WindowProof, "redcache/internal/engine", true},
-		{WindowProof, "redcache/internal/dram", true},
-		{WindowProof, "redcache/internal/cache", false},
-		{WindowProof, "redcache/internal/lint", false},
-		{WindowProof, "redcache/internal/lint/testdata/src/windowproof", true},
-		{WindowProof, "redcache/internal/lint/testdata/src/wallflow", false},
+		{StateFold, "redcache/internal/lint/testdata/src/wallflow", false},
 		{WallFlow, "redcache/internal/engine", true},
 		{WallFlow, "redcache/cmd/redbench", true},
-		{WallFlow, "redcache/internal/obs/prof", true},
+		{WallFlow, "redcache/cmd/redsim", true},
 		{WallFlow, "redcache/internal/lint", false},
 		{WallFlow, "redcache/internal/lint/testdata/src/wallflow", true},
 		{WallFlow, "redcache/internal/lint/testdata/src/statefold", false},
@@ -219,20 +207,16 @@ func TestDirectiveAudit(t *testing.T) {
 //redvet:hotpath
 func f() {}
 
-//redvet:sharlocal — typo'd v3 marker
+//redvet:stat — typo'd marker
 //redvet:detsafe
-//redvet:mergepoint
 //redvet:fporder — v3 suppression, properly justified
 //redvet:detsafe — v3 suppression, properly justified
-//redvet:mergepoint — v3 marker-suppression hybrid, properly justified
-//redvet:shardlocal
+//redvet:state
 type q struct{}
 
 //redvet:foldexempt
-//redvet:windowsafe
 //redvet:wallflow
 //redvet:foldexempt — v4 suppression, properly justified
-//redvet:windowsafe — v4 suppression, properly justified
 //redvet:wallflow — v4 suppression, properly justified
 func g() {}
 `
@@ -252,11 +236,9 @@ func g() {}
 	want := []string{
 		`unknown redvet directive "orderd"`,
 		"//redvet:wallclock needs a justification",
-		`unknown redvet directive "sharlocal"`,
+		`unknown redvet directive "stat"`,
 		"//redvet:detsafe needs a justification",
-		"//redvet:mergepoint needs a justification",
 		"//redvet:foldexempt needs a justification",
-		"//redvet:windowsafe needs a justification",
 		"//redvet:wallflow needs a justification",
 	}
 	if len(ds) != len(want) {

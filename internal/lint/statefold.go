@@ -11,18 +11,17 @@ import (
 )
 
 // StateFold proves fold-exhaustiveness: every fold/merge/snapshot/reset
-// function over a shard-local type or a stats-shaped accumulator struct
-// must handle every field of that struct — fold it, merge it, reset it,
-// or carry an explicit //redvet:foldexempt justification on the field
-// declaration.  This is the static form of the sharded engine's
-// fold-shadow contract: add a field to a per-shard stats struct, forget
-// the fold line, and sharded results silently diverge from serial; the
-// runtime byte-identity matrix catches that after the fact, statefold
-// catches it at lint time.
+// function over a //redvet:state type or a stats-shaped accumulator
+// struct must handle every field of that struct — fold it, merge it,
+// reset it, or carry an explicit //redvet:foldexempt justification on
+// the field declaration.  Add a field to a stats struct, forget the
+// fold line, and the totals silently lose it; statefold catches that at
+// lint time.  statefold is the only reader of the //redvet:state
+// marker.
 //
 // The proof is transitive: every function exports FoldCovers facts (the
 // per-type field sets it folds on receiver/parameter-rooted values), so
-// a FoldStats that delegates to helpers — in the same package or
+// a fold that delegates to helpers — in the same package or
 // another — inherits their coverage.  Obligations, by contrast, are
 // strictly local: only functions whose name starts with a fold-family
 // prefix (fold, merge, snapshot, delta, reset, save, load) are required
@@ -34,7 +33,7 @@ import (
 //
 // Two deliberate asymmetries keep the proof honest:
 //
-//   - a zero-composite store (`ch.shadow = Interface{}`) is inert: it
+//   - a zero-composite store (`o.total = Shadow{}`) is inert: it
 //     resets state but grants no coverage and creates no obligation, so
 //     a trailing reset can never mask a deleted fold line;
 //   - a whole-value copy (`return *i`, `*dst = *src`) covers every
@@ -45,7 +44,7 @@ import (
 var StateFold = &Analyzer{
 	Name: "statefold",
 	Doc: "proves fold/merge/snapshot/reset and checkpoint save/load functions " +
-		"field-exhaustive over shard-local and stats structs, transitively via " +
+		"field-exhaustive over //redvet:state and stats structs, transitively via " +
 		"FoldCovers facts; dropped fields need //redvet:foldexempt with a justification",
 	Directive: "foldexempt",
 	Scope:     statefoldScope,
@@ -53,11 +52,32 @@ var StateFold = &Analyzer{
 	Run:       statefoldRun,
 }
 
+// statefoldPkgs is the fold-exhaustiveness proof surface: the
+// simulator core and the statistics package.  The experiments harness
+// holds only Results values, never machine state.
+var statefoldPkgs = []string{
+	"redcache/internal/engine",
+	"redcache/internal/sim",
+	"redcache/internal/dram",
+	"redcache/internal/hbm",
+	"redcache/internal/cache",
+	"redcache/internal/cpu",
+	"redcache/internal/mem",
+	"redcache/internal/obs",
+	"redcache/internal/fault",
+	"redcache/internal/stats",
+}
+
 func statefoldScope(path string) bool {
 	if strings.HasPrefix(path, "redcache/internal/lint") {
 		return strings.HasPrefix(path, "redcache/internal/lint/testdata/src/statefold")
 	}
-	return shardlocalScope(path) || path == "redcache/internal/stats"
+	for _, p := range statefoldPkgs {
+		if path == p || strings.HasPrefix(path, p+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // foldFamilies are the function-name prefixes that carry an
@@ -112,9 +132,7 @@ func shapedField(t types.Type, depth int) bool {
 
 // foldCandidate returns the named struct behind t (derefing one
 // pointer) if it is a fold-exhaustiveness subject: a stats-shaped value
-// accumulator or a //redvet:shardlocal struct.  Types declared in the
-// wall-clock profiler are excluded — obs/prof state is observational by
-// design and outside the determinism-bearing fold contract.
+// accumulator or a //redvet:state struct.
 func foldCandidate(facts *FactStore, t types.Type) *types.Named {
 	if t == nil {
 		return nil
@@ -127,13 +145,10 @@ func foldCandidate(facts *FactStore, t types.Type) *types.Named {
 	if !ok || named.Obj().Pkg() == nil {
 		return nil
 	}
-	if strings.HasSuffix(named.Obj().Pkg().Path(), "/obs/prof") {
-		return nil
-	}
 	if _, ok := named.Underlying().(*types.Struct); !ok {
 		return nil
 	}
-	if facts.IsShardLocal(named.Obj().Pkg().Path(), named.Obj().Name()) {
+	if facts.IsState(named.Obj().Pkg().Path(), named.Obj().Name()) {
 		return named
 	}
 	if statsShaped(named, 0) {
@@ -225,7 +240,7 @@ func derefElem(t types.Type) types.Type {
 }
 
 // foldRef is an alias target: a local variable standing for a chain
-// rooted elsewhere (sh := &ch.shadow).
+// rooted elsewhere (t := &o.total).
 type foldRef struct {
 	root types.Object
 	path []string
@@ -415,8 +430,8 @@ func (f *foldScan) assign(n *ast.AssignStmt) {
 		} else if len(n.Rhs) == 1 {
 			rhs = n.Rhs[0]
 		}
-		// Alias discovery: a local bound to a chain (sh := &ch.shadow)
-		// stands for that chain, so later sh.X mentions resolve to the
+		// Alias discovery: a local bound to a chain (t := &o.total)
+		// stands for that chain, so later t.X mentions resolve to the
 		// underlying base.  Rebinding to anything else poisons it.
 		if simple && rhs != nil {
 			if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
@@ -433,7 +448,7 @@ func (f *foldScan) assign(n *ast.AssignStmt) {
 				}
 			}
 		}
-		// Zero-composite stores are inert: `ch.shadow = Interface{}`
+		// Zero-composite stores are inert: `o.total = Shadow{}`
 		// resets state but proves nothing, so a trailing reset can
 		// never mask a deleted fold line.
 		if simple && rhs != nil && zeroComposite(f.pass.Info, rhs) {
@@ -619,15 +634,40 @@ func fieldDirective(pass *Pass, pos token.Pos, tok string) (Directive, bool) {
 	return Directive{}, false
 }
 
-// statefoldFacts exports the annotation vocabulary (shardlocal types,
-// mergepoint functions, foldexempt fields) and per-function FoldCovers,
-// iterating the package to a fixpoint so helper order doesn't matter.
+// typeDirective finds a //redvet:<tok> directive attached to a type
+// declaration (in the GenDecl or TypeSpec doc comment, or on the line
+// above the spec), mirroring funcMarked for types.  Annotate
+// single-type declarations: a directive in the doc comment of a grouped
+// `type (...)` block marks every type in the block.
+func typeDirective(pass *Pass, gd *ast.GenDecl, ts *ast.TypeSpec, tok string) (Directive, bool) {
+	pos := pass.Fset.Position(ts.Pos())
+	from := pos.Line - 1
+	if gd.Doc != nil {
+		if l := pass.Fset.Position(gd.Doc.Pos()).Line; l < from {
+			from = l
+		}
+	}
+	if ts.Doc != nil {
+		if l := pass.Fset.Position(ts.Doc.Pos()).Line; l < from {
+			from = l
+		}
+	}
+	lines := pass.directives[pos.Filename]
+	for line := from; line <= pos.Line; line++ {
+		for _, d := range lines[line] {
+			if d.Tok == tok {
+				return d, true
+			}
+		}
+	}
+	return Directive{}, false
+}
+
+// statefoldFacts exports the annotation vocabulary (state types,
+// foldexempt fields) and per-function FoldCovers, iterating the package
+// to a fixpoint so helper order doesn't matter.
 func statefoldFacts(pass *Pass) {
 	facts := pass.EnsureFacts()
-	// Shardlocal/mergepoint annotations feed foldCandidate; recording
-	// them here (idempotently — shardlocal's own fact phase does the
-	// same) keeps single-analyzer fixture sessions self-sufficient.
-	shardlocalFacts(pass)
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			gd, ok := d.(*ast.GenDecl)
@@ -638,6 +678,9 @@ func statefoldFacts(pass *Pass) {
 				ts, ok := spec.(*ast.TypeSpec)
 				if !ok {
 					continue
+				}
+				if dir, ok := typeDirective(pass, gd, ts, "state"); ok {
+					facts.MarkState(pass.Pkg.Path(), ts.Name.Name, dir.Just)
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				if !ok {

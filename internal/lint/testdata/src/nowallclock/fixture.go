@@ -42,17 +42,17 @@ func progressStamp() int64 {
 	return time.Now().Unix() //redvet:wallclock — CLI progress display only
 }
 
-// good: the internal/obs/prof idiom — all profiler time reads funnel
+// good: the annotated-helper idiom — all host time reads funnel
 // through one monotonic helper whose annotation names the sanctioned
-// wall-clock domain.
-type profiler struct{ base time.Time }
+// wall-clock use.
+type stopwatch struct{ base time.Time }
 
-func (p *profiler) nowNs() int64 {
-	return time.Since(p.base).Nanoseconds() //redvet:wallclock — prof is the sanctioned wall-clock domain, never fed back into simulated state
+func (p *stopwatch) nowNs() int64 {
+	return time.Since(p.base).Nanoseconds() //redvet:wallclock — host-side timing only, never fed back into simulated state
 }
 
 // bad: an unannotated read inside the same type does not inherit the
 // helper's justification — every wall-clock site carries its own.
-func (p *profiler) leakedNow() time.Time {
+func (p *stopwatch) leakedNow() time.Time {
 	return time.Now() // want `time.Now reads the wall clock`
 }

@@ -1,6 +1,6 @@
 // Package statefold is the fixture for the statefold analyzer: every
 // fold/merge/snapshot/delta/reset function over a stats-shaped (or
-// //redvet:shardlocal-marked) struct must handle every field — fold
+// //redvet:state-marked) struct must handle every field — fold
 // it, reset it, delegate it to a helper whose FoldCovers facts prove
 // coverage, or carry a //redvet:foldexempt justification on the field
 // declaration.
@@ -12,17 +12,17 @@ type owner struct {
 	total foldutil.Shadow
 }
 
-// FoldStatsBad folds Reads and Writes but silently drops Stalls — the
+// FoldCountersBad folds Reads and Writes but silently drops Stalls — the
 // classic stat-loss bug the analyzer exists to catch.
-func (o *owner) FoldStatsBad(src *foldutil.Shadow) { // want `fold-family function FoldStatsBad drops field Shadow\.Stalls of base o\.total`
+func (o *owner) FoldCountersBad(src *foldutil.Shadow) { // want `fold-family function FoldCountersBad drops field Shadow\.Stalls of base o\.total`
 	o.total.Reads += src.Reads
 	o.total.Writes += src.Writes
 }
 
-// FoldStatsGood handles every field: two locally, Stalls through a
+// FoldCountersGood handles every field: two locally, Stalls through a
 // cross-package helper whose FoldCovers facts complete the proof, and
 // Label by its declaration-site exemption.
-func (o *owner) FoldStatsGood(src *foldutil.Shadow) {
+func (o *owner) FoldCountersGood(src *foldutil.Shadow) {
 	o.total.Reads += src.Reads
 	o.total.Writes += src.Writes
 	foldutil.AddStalls(&o.total, src)
@@ -59,10 +59,10 @@ func deltaFull(cur, prev foldutil.Shadow) foldutil.Shadow {
 	}
 }
 
-// ring is shard-local but not stats-shaped (the pointer field): the
-// //redvet:shardlocal marker alone makes it a fold subject.
+// ring is not stats-shaped (the pointer field): the //redvet:state
+// marker alone makes it a fold subject.
 //
-//redvet:shardlocal
+//redvet:state
 type ring struct {
 	head *int
 	seen int64

@@ -4,7 +4,7 @@
 // can discharge a field obligation in the importing package.
 package foldutil
 
-// Shadow is a stats-shaped per-shard accumulator.
+// Shadow is a stats-shaped per-component accumulator.
 type Shadow struct {
 	Reads  int64
 	Writes int64

@@ -2,7 +2,7 @@
 // wall-clock readings (time.Now/Since/Until) are taint sources that
 // must never reach a deterministic sink — engine scheduling, a
 // deterministic-package entry point, or a deterministic struct field —
-// while stderr reports and profiler state remain sanctioned.
+// while stderr reports remain sanctioned.
 package wallflow
 
 import (
@@ -12,8 +12,6 @@ import (
 
 	"redcache/internal/engine"
 	"redcache/internal/lint/testdata/src/wallflow/wallutil"
-	"redcache/internal/obs/prof"
-	"redcache/internal/sim"
 	"redcache/internal/stats"
 )
 
@@ -37,10 +35,4 @@ func transitiveSink(t0 time.Time) {
 // report is the sanctioned path: wall time flows to stderr only.
 func report(start time.Time) {
 	fmt.Fprintf(os.Stderr, "wall: %.2fs\n", time.Since(start).Seconds())
-}
-
-// attach is the sanctioned profiler hand-off: a prof-declared value
-// owns its wall-clock state, so storing the pointer is not a leak.
-func attach(res *sim.Result, p *prof.Profiler) {
-	res.Profile = p
 }

@@ -9,24 +9,21 @@ import (
 	"strings"
 )
 
-// WallFlow is the static counterpart of the profiler's observational-
-// freedom matrix: wall-clock readings (time.Now/Since/Until — including
-// the justified //redvet:wallclock reads inside internal/obs/prof) are
-// taint sources, and the taint must never reach a deterministic sink:
-// simulation state mutation, an engine scheduling argument, a Result
-// field, or any call into the deterministic packages whose outputs the
-// byte-identity tests compare (exporters, telemetry, stats).  Wall time
-// may flow freely to stderr reports, profiler artifacts and filenames —
-// none of those are compared byte-for-byte.
+// WallFlow proves wall-clock confinement: wall-clock readings
+// (time.Now/Since/Until — including the justified //redvet:wallclock
+// reads in the commands' progress and benchmark timing) are taint
+// sources, and the taint must never reach a deterministic sink:
+// simulation state mutation, an engine scheduling argument, a
+// sim.Options or Result field, or any call into the deterministic
+// packages whose outputs the byte-identity tests compare (exporters,
+// telemetry, stats).  Wall time may flow freely to stderr reports,
+// benchmark files and filenames — none of those are compared
+// byte-for-byte.  nowallclock only checks that each read is annotated;
+// wallflow checks where the value goes.
 //
 // Taint propagates like unitflow: through assignments, arithmetic,
 // params, returns (WallRet/WallRetFromParam facts), struct fields
 // (WallFields facts) and transitive sink parameters (WallSinkParam).
-// One deliberate cutout keeps the profiler usable: an expression whose
-// static type is declared in internal/obs/prof sheds all taint.  A
-// *prof.Profiler legitimately owns wall-clock state — storing it in
-// sim.Result.Profile or handing it to report writers is the sanctioned
-// channel; only the scalar values extracted from it stay tainted.
 var WallFlow = &Analyzer{
 	Name: "wallflow",
 	Doc: "tracks wall-clock taint from time.Now/Since/Until through params, " +
@@ -47,8 +44,7 @@ func wallflowScope(path string) bool {
 
 // wallDetPkgs are the deterministic packages: any call into them with a
 // wall-tainted argument, or any wall-tainted store into one of their
-// struct fields, is a finding.  internal/obs/prof is deliberately
-// absent — it is the sanctioned wall-clock container.
+// struct fields, is a finding.
 var wallDetPkgs = map[string]bool{
 	"redcache/internal/engine":    true,
 	"redcache/internal/sim":       true,
@@ -85,23 +81,6 @@ func wallSeedCall(fn *types.Func) bool {
 		return true
 	}
 	return false
-}
-
-// profDeclared reports whether t (deref one pointer) is a named type
-// declared in the wall-clock profiler package.
-func profDeclared(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "redcache/internal/obs/prof"
 }
 
 // wFlow is the per-function wall-taint analysis.
@@ -195,11 +174,6 @@ func (f *wFlow) exprLabels(e ast.Expr) uint64 {
 	case *ast.TypeAssertExpr:
 		m |= f.exprLabels(e.X)
 	}
-	// The profiler cutout: prof-declared values own their wall-clock
-	// state, so the value itself carries no taint out of the package.
-	if m != 0 && profDeclared(f.pass.Info.TypeOf(e)) {
-		return 0
-	}
 	return m
 }
 
@@ -275,7 +249,7 @@ func (f *wFlow) checkSinks(call *ast.CallExpr, callee *types.Func) {
 		if m&wallBit != 0 && f.report && !f.reported[call.Args[j].Pos()] {
 			f.reported[call.Args[j].Pos()] = true
 			f.pass.Reportf(call.Args[j].Pos(),
-				"wall-clock-derived value %s reaches %s; wall time may only flow to stderr reports and profiler artifacts, never into deterministic state or output",
+				"wall-clock-derived value %s reaches %s; wall time may only flow to stderr reports and benchmark files, never into deterministic state or output",
 				exprString(call.Args[j]), why)
 		}
 		for i := 0; i < f.sig.Params().Len(); i++ {
@@ -409,14 +383,14 @@ func (f *wFlow) assignStep(n *ast.AssignStmt) {
 			}
 			// A wall-tainted store into a deterministic package's field is
 			// itself a sink (Result fields, sim/engine state); stores into
-			// other fields — the profiler's own slots — just record the
+			// other fields — host-side timing state — just record the
 			// taint for cross-function flow.  Params flowing into a
 			// deterministic field make this function a transitive sink.
 			if wallDetPkgs[pkg] {
 				if m&wallBit != 0 && f.report && !f.reported[lhs.Pos()] {
 					f.reported[lhs.Pos()] = true
 					f.pass.Reportf(lhs.Pos(),
-						"wall-clock-derived value stored into deterministic field %s.%s; wall time may only live in stderr reports and profiler state",
+						"wall-clock-derived value stored into deterministic field %s.%s; wall time may only live in stderr reports and host-side timing state",
 						pkg, key)
 				}
 				for i := 0; i < f.sig.Params().Len(); i++ {

@@ -52,13 +52,6 @@ const (
 	// retransmitted (addr = channel, A = burst bytes).
 	EvFaultBus
 
-	// EvShardMerge: the sharded coordinator drained one cross-shard
-	// inbox ring (addr = destination shard, A = source shard, B =
-	// entries merged).  Emitted on the coordinator in deterministic
-	// (dst, src) drain order, so the cycle-domain trace covers shard
-	// boundaries without racing on the ring.
-	EvShardMerge
-
 	numEventKinds
 )
 
@@ -69,7 +62,6 @@ var eventNames = [numEventKinds]string{
 	"gamma_move", "alpha_move",
 	"fault_tag_detected", "fault_tag_silent", "fault_rcount",
 	"fault_data", "fault_row", "fault_bus",
-	"shard_merge",
 }
 
 // String implements fmt.Stringer.

@@ -1,8 +1,7 @@
 package sim
 
 // Checkpoint/restore for the whole machine.  A snapshot is taken at an
-// observationally free pause point (between events, or at a sharded
-// window barrier) and contains every bit of mutable simulation state;
+// observationally free pause point (between events) and contains every bit of mutable simulation state;
 // wiring — component topology, callbacks, probe closures — is NOT
 // serialized but rebuilt by running the normal buildMachine wire-up
 // and then overwriting its state (restore-by-rebuild).  The manifest
@@ -14,7 +13,7 @@ package sim
 // callbacks and request-pointer keys, then the DRAM-cache controller
 // (re-creating its pooled ops registers their fire callbacks), then
 // the channel models (whose queued transactions resolve those keys),
-// and the engine heaps last (their events resolve against everything).
+// and the engine heap last (its events resolve against everything).
 
 import (
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"redcache/internal/config"
 	"redcache/internal/engine"
 	"redcache/internal/hbm"
-	"redcache/internal/obs/prof"
 	"redcache/internal/trace"
 )
 
@@ -42,7 +40,7 @@ type ckptController interface {
 func (m *machine) manifest() *ckpt.Manifest {
 	man := &ckpt.Manifest{
 		Format:          ckpt.FormatVersion,
-		ConfigSHA:       prof.HashConfig(m.cfg),
+		ConfigSHA:       ckpt.HashConfig(m.cfg),
 		Workload:        m.t.Name,
 		Arch:            string(m.arch),
 		Seed:            m.cfg.Seed,
@@ -52,11 +50,6 @@ func (m *machine) manifest() *ckpt.Manifest {
 	if f := m.opts.Faults; f != nil && f.Enabled() {
 		man.Faults = f.Spec()
 		man.FaultSeed = f.Seed
-	}
-	if m.shd != nil {
-		man.Sharded = true
-		man.Shards = m.shd.Shards()
-		man.Window = m.shardWindow
 	}
 	if m.tel != nil {
 		man.EpochCycles = m.tel.EpochCycles()
@@ -115,9 +108,6 @@ func (m *machine) saveState(w *ckpt.Writer) error {
 	w.Bool(m.invs != nil)
 	if m.invs != nil {
 		w.I64(m.invs.sweeps)
-	}
-	if m.shd != nil {
-		return m.shd.SaveState(w, m.reg)
 	}
 	return m.eng.SaveState(w, m.reg)
 }
@@ -184,13 +174,7 @@ func (m *machine) loadState(r *ckpt.Reader) error {
 	if m.invs != nil {
 		m.invs.sweeps = r.I64()
 	}
-	var err error
-	if m.shd != nil {
-		err = m.shd.LoadState(r, m.reg)
-	} else {
-		err = m.eng.LoadState(r, m.reg)
-	}
-	if err != nil {
+	if err := m.eng.LoadState(r, m.reg); err != nil {
 		return err
 	}
 	if err := r.Err(); err != nil {
@@ -222,7 +206,6 @@ func Resume(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options, pa
 	if err != nil {
 		return nil, err
 	}
-	defer m.close()
 	if err := man.Compatible(m.manifest()); err != nil {
 		return nil, fmt.Errorf("sim: cannot resume %s: %w", path, err)
 	}

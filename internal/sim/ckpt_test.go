@@ -3,13 +3,14 @@ package sim
 // Kill-and-resume byte-identity matrix: a run interrupted at any
 // checkpoint and resumed must produce the exact Result bytes,
 // telemetry series, event trace, and invariant verdicts of an
-// uninterrupted run — across architectures, serial and sharded plans,
-// and with fault injection on and off.
+// uninterrupted run — across architectures, and with fault injection
+// on and off.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,9 +27,8 @@ import (
 // ckptOpts builds the standard full-coverage option set: telemetry
 // (series + event trace), invariants, and optionally faults — every
 // observer whose state the checkpoint must carry.
-func ckptOpts(workers int, faults bool) *Options {
+func ckptOpts(faults bool) *Options {
 	opts := &Options{
-		ShardWorkers:    workers,
 		InvariantCycles: 4096,
 		Telemetry:       &obs.Options{EpochCycles: 4096, TraceEvents: true},
 	}
@@ -53,7 +53,11 @@ func ckptTrace(t *testing.T, cfg *config.System, workload string) *trace.Trace {
 // fullString renders everything the identity contract covers.
 func fullString(t *testing.T, r *Result) string {
 	t.Helper()
-	s := shardResultString(r)
+	s := goldenString(r)
+	s += fmt.Sprintf("Events:%d InvariantChecks:%d\n", r.EventsFired, r.InvariantChecks)
+	if r.FaultStats != nil {
+		s += fmt.Sprintf("Faults:%+v\n", *r.FaultStats)
+	}
 	if r.Telemetry != nil {
 		var buf bytes.Buffer
 		if err := obs.WriteSeriesJSONL(&buf, r.Telemetry.Series()); err != nil {
@@ -82,14 +86,7 @@ func snapshotAt(t *testing.T, cfg *config.System, arch hbm.Arch, tr *trace.Trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.close()
-	var drained bool
-	if m.shd != nil {
-		drained = m.shd.RunWindows(pause)
-	} else {
-		drained = m.eng.RunWithin(pause)
-	}
-	if drained {
+	if m.eng.RunWithin(pause) {
 		t.Fatalf("run drained before pause cycle %d; pick an earlier pause", pause)
 	}
 	if err := m.checkpoint(""); err != nil {
@@ -99,24 +96,19 @@ func snapshotAt(t *testing.T, cfg *config.System, arch hbm.Arch, tr *trace.Trace
 
 // TestCheckpointResumeIdentity is the kill-and-resume matrix.
 func TestCheckpointResumeIdentity(t *testing.T) {
-	autoWorkers := 4
 	cases := []struct {
 		name     string
 		workload string
 		arch     hbm.Arch
-		workers  int
 		faults   bool
 	}{
-		{"LU_RedCache_serial", "LU", hbm.ArchRedCache, 0, false},
-		{"LU_RedCache_serial_faults", "LU", hbm.ArchRedCache, 0, true},
-		{"LU_RedCache_shard1", "LU", hbm.ArchRedCache, 1, false},
-		{"LU_RedCache_shard4_faults", "LU", hbm.ArchRedCache, autoWorkers, true},
-		{"HIST_NoHBM_serial", "HIST", hbm.ArchNoHBM, 0, false},
-		{"HIST_NoHBM_shard4", "HIST", hbm.ArchNoHBM, autoWorkers, false},
-		{"LU_Alloy_serial", "LU", hbm.ArchAlloy, 0, false},
-		{"LU_Bear_shard4", "LU", hbm.ArchBear, autoWorkers, false},
-		{"LU_Ideal_serial", "LU", hbm.ArchIdeal, 0, false},
-		{"LU_RedInSitu_shard1_faults", "LU", hbm.ArchRedInSitu, 1, true},
+		{"LU_RedCache_serial", "LU", hbm.ArchRedCache, false},
+		{"LU_RedCache_serial_faults", "LU", hbm.ArchRedCache, true},
+		{"HIST_NoHBM_serial", "HIST", hbm.ArchNoHBM, false},
+		{"LU_Alloy_serial", "LU", hbm.ArchAlloy, false},
+		{"LU_Bear_serial", "LU", hbm.ArchBear, false},
+		{"LU_Ideal_serial", "LU", hbm.ArchIdeal, false},
+		{"LU_RedInSitu_serial_faults", "LU", hbm.ArchRedInSitu, true},
 	}
 	for _, c := range cases {
 		c := c
@@ -124,7 +116,7 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 			t.Parallel()
 			cfg := config.Tiny()
 			tr := ckptTrace(t, cfg, c.workload)
-			opts := ckptOpts(c.workers, c.faults)
+			opts := ckptOpts(c.faults)
 
 			base, err := Run(cfg, c.arch, tr, opts)
 			if err != nil {
@@ -153,40 +145,36 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 // contract: a run that snapshots every period produces exactly the
 // bytes of a run that never snapshots.
 func TestCheckpointCadenceDoesNotPerturb(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		workers := workers
-		t.Run(map[int]string{0: "serial", 2: "sharded"}[workers], func(t *testing.T) {
-			t.Parallel()
-			cfg := config.Tiny()
-			tr := ckptTrace(t, cfg, "LU")
-			opts := ckptOpts(workers, true)
-			plain, err := Run(cfg, hbm.ArchRedCache, tr, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			withCkpt := *opts
-			withCkpt.CkptPath = filepath.Join(t.TempDir(), "run.ckpt")
-			withCkpt.CkptPeriod = plain.Cycles / 5
-			ck, err := Run(cfg, hbm.ArchRedCache, tr, &withCkpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := fullString(t, ck), fullString(t, plain); got != want {
-				t.Fatalf("checkpoint cadence perturbed the run\n--- plain\n%s\n--- checkpointed\n%s", want, got)
-			}
-			if _, err := os.Stat(withCkpt.CkptPath); err != nil {
-				t.Fatalf("cadence run left no checkpoint: %v", err)
-			}
-			// The last periodic snapshot must itself resume to the same bytes.
-			res, err := Resume(cfg, hbm.ArchRedCache, tr, opts, withCkpt.CkptPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := fullString(t, res), fullString(t, plain); got != want {
-				t.Fatal("resume from last cadence snapshot diverged")
-			}
-		})
-	}
+	t.Run("serial", func(t *testing.T) {
+		cfg := config.Tiny()
+		tr := ckptTrace(t, cfg, "LU")
+		opts := ckptOpts(true)
+		plain, err := Run(cfg, hbm.ArchRedCache, tr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withCkpt := *opts
+		withCkpt.CkptPath = filepath.Join(t.TempDir(), "run.ckpt")
+		withCkpt.CkptPeriod = plain.Cycles / 5
+		ck, err := Run(cfg, hbm.ArchRedCache, tr, &withCkpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fullString(t, ck), fullString(t, plain); got != want {
+			t.Fatalf("checkpoint cadence perturbed the run\n--- plain\n%s\n--- checkpointed\n%s", want, got)
+		}
+		if _, err := os.Stat(withCkpt.CkptPath); err != nil {
+			t.Fatalf("cadence run left no checkpoint: %v", err)
+		}
+		// The last periodic snapshot must itself resume to the same bytes.
+		res, err := Resume(cfg, hbm.ArchRedCache, tr, opts, withCkpt.CkptPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fullString(t, res), fullString(t, plain); got != want {
+			t.Fatal("resume from last cadence snapshot diverged")
+		}
+	})
 }
 
 // TestResumeRejectsBadCheckpoints: damaged or mismatched checkpoints
@@ -194,7 +182,7 @@ func TestCheckpointCadenceDoesNotPerturb(t *testing.T) {
 func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	cfg := config.Tiny()
 	tr := ckptTrace(t, cfg, "LU")
-	opts := ckptOpts(0, false)
+	opts := ckptOpts(false)
 	base, err := Run(cfg, hbm.ArchRedCache, tr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +229,6 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	if _, err := Resume(cfg, hbm.ArchAlloy, tr, opts, path); !errors.Is(err, ckpt.ErrMismatch) {
 		t.Errorf("arch mismatch: got %v, want ErrMismatch", err)
 	}
-	// Wrong shard plan.
-	if _, err := Resume(cfg, hbm.ArchRedCache, tr, ckptOpts(2, false), path); !errors.Is(err, ckpt.ErrMismatch) {
-		t.Errorf("shard plan mismatch: got %v, want ErrMismatch", err)
-	}
 }
 
 // TestWatchdogWritesDiagnosticSnapshot: a tripped watchdog leaves a
@@ -252,7 +236,7 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 func TestWatchdogWritesDiagnosticSnapshot(t *testing.T) {
 	cfg := config.Tiny()
 	tr := ckptTrace(t, cfg, "LU")
-	opts := ckptOpts(0, false)
+	opts := ckptOpts(false)
 	opts.CkptPath = filepath.Join(t.TempDir(), "run.ckpt")
 	opts.MaxCycles = 5000 // far too small for tiny LU
 	_, err := Run(cfg, hbm.ArchRedCache, tr, opts)
@@ -323,7 +307,6 @@ func TestCheckpointRebuildsRowIndex(t *testing.T) {
 			}
 		}
 		res, err := m.complete()
-		m.close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,9 @@
 package sim
 
 // Static guard: the checkpoint path is cold by contract.  A snapshot
-// runs only between events (serial) or at a window barrier (sharded),
-// never from inside the per-event hot loop — if serialization ever
-// crept into a //redvet:hotpath function, every event would pay its
-// allocation and hashing cost.  This test parses the whole module and
+// runs only between events, never from inside the per-event hot loop
+// — if serialization ever crept into a //redvet:hotpath function,
+// every event would pay its allocation and hashing cost.  This test parses the whole module and
 // asserts no hotpath-annotated function calls into the checkpoint
 // codec, complementing the runtime zero-alloc guards in
 // internal/engine/alloc_test.go.

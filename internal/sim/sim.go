@@ -15,7 +15,6 @@ import (
 	"redcache/internal/hbm"
 	"redcache/internal/mem"
 	"redcache/internal/obs"
-	"redcache/internal/obs/prof"
 	"redcache/internal/stats"
 	"redcache/internal/trace"
 )
@@ -51,13 +50,6 @@ type Result struct {
 	// InvariantChecks counts completed online invariant sweeps when
 	// Options.InvariantCycles was set.
 	InvariantChecks int64
-
-	// Profile holds the wall-clock shard profiler when Options.Profile
-	// was set; nil otherwise.  It is deliberately NOT part of the
-	// simulation outcome: every other Result field is byte-identical
-	// with profiling on or off (the observational-freedom contract the
-	// sharded byte-identity matrix pins).
-	Profile *prof.Profiler
 }
 
 // Seconds converts cycles to wall time at the configured frequency.
@@ -113,31 +105,12 @@ type Options struct {
 	// telemetry-enabled run produces the same simulation counters as a
 	// plain one.
 	Telemetry *obs.Options
-	// ShardWorkers > 0 selects the sharded engine plan: every DRAM/HBM
-	// channel without shard-0 couplings (hooks, observers) runs on its
-	// own shard under the conservative window schedule, executed by up
-	// to this many parallel workers.  The schedule — and therefore every
-	// result byte — is a pure function of the configuration, identical
-	// for every positive worker count; only wall-clock changes.  0 keeps
-	// the classic single-engine plan, whose event interleaving (and thus
-	// golden results) differs from the sharded schedule.
-	ShardWorkers int
-	// Profile, when set, attaches the wall-clock shard profiler
-	// (internal/obs/prof) to the sharded run and surfaces it as
-	// Result.Profile.  Requires ShardWorkers > 0 with at least one
-	// shardable channel — there is no parallel schedule to profile
-	// otherwise.  Profiling is observationally free: it reads the host
-	// clock but never simulated state-affecting values, so all other
-	// Result fields, telemetry, and invariant verdicts are byte-identical
-	// with or without it.
-	Profile *prof.Options
 	// CkptPath, when set, names the checkpoint file for this run.  With
 	// CkptPeriod > 0 the run snapshots its complete machine state there
 	// every period (atomically: temp file + rename), and a failed run
 	// (watchdog trip, invariant violation) writes a non-resumable
 	// diagnostic snapshot to CkptPath+".final".  Checkpoint pauses
-	// happen at observationally free points — between events on the
-	// serial engine, at window barriers on the sharded one — so a
+	// happen between events, an observationally free point, so a
 	// checkpointed run's Result, telemetry, and invariant verdicts are
 	// byte-identical to an uncheckpointed run's.
 	CkptPath string
@@ -146,8 +119,8 @@ type Options struct {
 	CkptPeriod int64
 }
 
-// machine is one fully wired simulated system: the engine (and its
-// optional shard plan), both channel models, the DRAM-cache controller,
+// machine is one fully wired simulated system: the engine, both
+// channel models, the DRAM-cache controller,
 // the CPU complex, and the observers.  Construction (buildMachine) is
 // separated from execution (complete) so a resumed run can overwrite
 // the freshly built state with a checkpoint before running.
@@ -164,14 +137,9 @@ type machine struct {
 	ddrCtl *dram.Controller
 	ctl    hbm.Controller
 	inj    *fault.Injector
-	shd    *engine.Sharded
-	// shardWindow is the lookahead window of the sharded plan (0 when
-	// serial) — the checkpoint cadence must stay a full window clear of
-	// the watchdog budget, whose final window is clamped.
-	shardWindow int64
-	cx          *cpu.Complex
-	tel         *obs.Telemetry
-	invs        *invariantRunner
+	cx     *cpu.Complex
+	tel    *obs.Telemetry
+	invs   *invariantRunner
 }
 
 // validateRun checks the inputs shared by Run and Resume.
@@ -199,15 +167,12 @@ func validateRun(cfg *config.System, t *trace.Trace, opts *Options) error {
 	if opts.CkptPath != "" && opts.DDRObserver != nil {
 		return fmt.Errorf("sim: checkpointing cannot capture DDRObserver hook state; run without an observer")
 	}
-	if opts.CkptPeriod > 0 && opts.Profile != nil {
-		return fmt.Errorf("sim: checkpoint cadence and shard profiling are mutually exclusive")
-	}
 	return nil
 }
 
 // buildMachine wires a complete machine in the canonical order — the
-// order is part of the determinism contract (telemetry columns, shard
-// indices, fault streams) and of the checkpoint format (the callback
+// order is part of the determinism contract (telemetry columns, fault
+// streams) and of the checkpoint format (the callback
 // registry keys and the save/load stream both follow it).
 func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options) (*machine, error) {
 	if opts == nil {
@@ -264,63 +229,12 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		}
 	}
 
-	// Shard placement happens after every hook, observer, and injector
-	// is installed (they decide which controllers may leave shard 0) and
-	// before the first transaction is enqueued.  Controller order is
-	// fixed (HBM first, then DDR), so shard indices — and with them the
-	// per-channel fault streams — are a pure function of the
-	// configuration.  The window is the tightest ShardWindow bound among
-	// the sharded devices.
-	var planStr string
-	if opts.ShardWorkers > 0 {
-		type placed struct {
-			ctl   *dram.Controller
-			first int
-		}
-		var plan []placed
-		extra := 0
-		window := int64(1) << 62
-		for _, cand := range []struct {
-			ctl *dram.Controller
-			tm  config.DRAMTiming
-		}{{m.hbmCtl, cfg.HBM.Timing}, {m.ddrCtl, cfg.MainMem.Timing}} {
-			if cand.ctl == nil || !cand.ctl.Shardable() {
-				continue
-			}
-			plan = append(plan, placed{cand.ctl, 1 + extra})
-			extra += cand.ctl.Channels()
-			if w := cand.tm.ShardWindow(); w < window {
-				window = w
-			}
-		}
-		if extra > 0 {
-			m.shd = engine.NewSharded(m.eng, extra, window, opts.ShardWorkers)
-			m.shardWindow = window
-			planStr = "shard0=cpu+uncore"
-			for _, p := range plan {
-				last := p.first + p.ctl.Channels() - 1
-				planStr += fmt.Sprintf("; %s=shards %d-%d", p.ctl.Name(), p.first, last)
-				p.ctl.SetSharding(m.shd, p.first)
-			}
-		}
-	}
-	if opts.Profile != nil {
-		if m.shd == nil {
-			return nil, fmt.Errorf("sim: profiling requires the sharded plan (ShardWorkers > 0 and at least one shardable channel)")
-		}
-		prf := prof.New(*opts.Profile)
-		prf.SetPlan(planStr)
-		m.shd.SetProfiler(prf)
-		m.res.Profile = prf
-	}
-
 	m.cx = cpu.NewComplex(m.eng, cfg, t, submitFunc(func(req *mem.Request) { m.ctl.Submit(req) }))
 	m.cx.RegisterFns(m.reg)
 
 	if opts.Telemetry != nil {
 		tel, err := obs.New(*opts.Telemetry)
 		if err != nil {
-			m.close()
 			return nil, err
 		}
 		m.tel = tel
@@ -328,26 +242,9 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		// part of the telemetry file format: engine, interfaces +
 		// channels, cache controller, CPU, L3.
 		tel.Tracer.SetClock(m.eng.Now)
-		if m.shd != nil {
-			// Cover shard boundaries in the cycle-domain event trace: one
-			// EvShardMerge per non-empty inbox ring, emitted on the
-			// coordinator in deterministic (dst, src) drain order — never
-			// from the parallel post itself, which would race on the ring.
-			trc := tel.Tracer
-			shd := m.shd
-			shd.SetMergeHook(func(dst, src, n int) {
-				trc.Emit(obs.EvShardMerge, uint64(dst), int64(src), int64(n))
-			})
-			// Same column names, whole-machine values: fired/pending sum
-			// over every shard heap and unmerged inbox.  Samples run on
-			// shard 0 between phases, when all shards are quiescent.
-			tel.Reg.Counter("engine.events_fired", func() int64 { return int64(shd.TotalFired()) })
-			tel.Reg.Gauge("engine.pending", func() int64 { return int64(shd.TotalPending()) })
-		} else {
-			eng := m.eng
-			tel.Reg.Counter("engine.events_fired", func() int64 { return int64(eng.Fired) })
-			tel.Reg.Gauge("engine.pending", func() int64 { return int64(eng.Pending()) })
-		}
+		eng := m.eng
+		tel.Reg.Counter("engine.events_fired", func() int64 { return int64(eng.Fired) })
+		tel.Reg.Gauge("engine.pending", func() int64 { return int64(eng.Pending()) })
 		if m.hbmCtl != nil {
 			obs.RegisterInterface(&tel.Reg, "hbm", &m.res.HBMIface, m.eng.Now)
 			m.hbmCtl.RegisterProbes(&tel.Reg, "hbm")
@@ -366,11 +263,7 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 	}
 
 	if opts.InvariantCycles > 0 {
-		heapCheck := m.eng.CheckHeap
-		if m.shd != nil {
-			heapCheck = m.shd.CheckHeaps
-		}
-		m.invs = newInvariantRunner(heapCheck, m.hbmCtl, m.ddrCtl, m.ctl, &m.res.HBMIface, &m.res.DDRIface)
+		m.invs = newInvariantRunner(m.eng.CheckHeap, m.hbmCtl, m.ddrCtl, m.ctl, &m.res.HBMIface, &m.res.DDRIface)
 		m.eng.SchedulePeriodic(opts.InvariantCycles, m.invs.tick)
 	}
 
@@ -382,18 +275,8 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		// so the event limit catches same-cycle scheduling loops the
 		// cycle deadline alone would never pass.
 		m.eng.Limit = uint64(opts.MaxCycles)
-		if m.shd != nil {
-			m.shd.SetLimit(uint64(opts.MaxCycles))
-		}
 	}
 	return m, nil
-}
-
-// close releases the machine's worker pool (idempotent, nil-safe).
-func (m *machine) close() {
-	if m.shd != nil {
-		m.shd.Close()
-	}
 }
 
 // complete executes the machine to completion — main run (with the
@@ -418,11 +301,7 @@ func (m *machine) complete() (res *Result, err error) {
 	}
 
 	m.ctl.Drain()
-	if m.shd != nil {
-		m.shd.Run() // let the drain traffic settle
-	} else {
-		m.eng.Run()
-	}
+	m.eng.Run() // let the drain traffic settle
 
 	if m.tel != nil {
 		m.tel.Finish(m.eng.Now())
@@ -432,9 +311,6 @@ func (m *machine) complete() (res *Result, err error) {
 	m.res.Cycles = m.cx.AllDoneAt
 	m.res.Instructions = m.cx.Instructions()
 	m.res.EventsFired = m.eng.Fired
-	if m.shd != nil {
-		m.res.EventsFired = m.shd.TotalFired()
-	}
 	m.res.Ctl = *m.ctl.Stats()
 	m.res.L3 = *m.cx.Hier.L3Stats()
 	if m.inj != nil {
@@ -472,64 +348,36 @@ func (m *machine) runLoop() error {
 		// parked at the budget cycle would hold the queue open after the
 		// cores retire, dragging the clock (and the writeback drain) to
 		// the budget cycle and perturbing interface counters.
-		tripped := false
-		if m.shd != nil {
-			tripped = !m.shd.RunWithin(budget)
-		} else {
-			tripped = !m.eng.RunWithin(budget)
-		}
-		if tripped && m.cx.AllDoneAt < 0 {
+		if !m.eng.RunWithin(budget) && m.cx.AllDoneAt < 0 {
 			panic(watchdogAbort{budget: budget})
 		}
 		// Cores retired within budget; anything still queued past the
 		// deadline is a periodic tick about to auto-stop, and letting it
 		// fire keeps the clock identical to an unbounded run.
 	}
-	if m.shd != nil {
-		m.shd.Run()
-	} else {
-		m.eng.Run()
-	}
+	m.eng.Run()
 	return nil
 }
 
 // runCheckpointed is runLoop with the snapshot cadence: run to the next
 // checkpoint cycle, snapshot, repeat.  The pause points are
-// observationally free — RunWithin leaves the serial heap untouched
-// between events, and RunWindows pauses only at window barriers without
-// ever clamping a window — so the event order is byte-identical to an
-// uninterrupted run.  The watchdog budget keeps its exact plain-path
-// semantics: once the next checkpoint would land within one lookahead
-// window of the budget (whose final window IS clamped by RunWithin),
-// the cadence stops and the budget-bounded run takes over.
+// observationally free — RunWithin leaves the heap untouched between
+// events — so the event order is byte-identical to an uninterrupted
+// run.  Once the next checkpoint would reach the watchdog budget, the
+// cadence stops and the budget-bounded run takes over with its exact
+// plain-path semantics.
 func (m *machine) runCheckpointed() error {
 	budget := m.opts.MaxCycles
 	period := m.opts.CkptPeriod
 	next := m.eng.Now() + period
 	for {
-		atBudget := budget > 0 && next >= budget
-		if budget > 0 && m.shd != nil && next > budget-m.shardWindow {
-			atBudget = true
-		}
-		if atBudget {
-			tripped := false
-			if m.shd != nil {
-				tripped = !m.shd.RunWithin(budget)
-			} else {
-				tripped = !m.eng.RunWithin(budget)
-			}
-			if tripped && m.cx.AllDoneAt < 0 {
+		if budget > 0 && next >= budget {
+			if !m.eng.RunWithin(budget) && m.cx.AllDoneAt < 0 {
 				panic(watchdogAbort{budget: budget})
 			}
 			break
 		}
-		var drained bool
-		if m.shd != nil {
-			drained = m.shd.RunWindows(next)
-		} else {
-			drained = m.eng.RunWithin(next)
-		}
-		if drained {
+		if m.eng.RunWithin(next) {
 			break
 		}
 		if err := m.checkpoint(""); err != nil {
@@ -537,11 +385,7 @@ func (m *machine) runCheckpointed() error {
 		}
 		next += period
 	}
-	if m.shd != nil {
-		m.shd.Run()
-	} else {
-		m.eng.Run()
-	}
+	m.eng.Run()
 	return nil
 }
 
@@ -553,8 +397,7 @@ func (m *machine) abort(r any) *Error {
 	e := asError(r, m.eng, m.t.Name, m.arch)
 	if m.opts.CkptPath != "" && (e.Op == "watchdog" || e.Op == "invariant") {
 		// Best effort: the state that tripped an invariant is corrupt by
-		// definition, and a mid-window abort cannot serialize the shard
-		// plan — failures here must not mask the primary error.
+		// definition — failures here must not mask the primary error.
 		_ = m.checkpoint(e.Op)
 	}
 	return e
@@ -572,7 +415,6 @@ func Run(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	defer m.close()
 	return m.complete()
 }
 
