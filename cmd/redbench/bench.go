@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 
-	"redcache/internal/ckpt"
 	"redcache/internal/config"
 	"redcache/internal/dram"
 	"redcache/internal/engine"
@@ -89,7 +87,7 @@ func runBenchSuite() {
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 		SchemaNote: "ns_per_op/allocs_per_op/bytes_per_op from testing.Benchmark; " +
-			"events_per_sec = engine events per wall second; mb_per_sec for the trace and checkpoint codecs; " +
+			"events_per_sec = engine events per wall second; mb_per_sec for the trace codec; " +
 			"end_to_end wall_seconds is the best of 3 timed repetitions of one deterministic " +
 			"run after one untimed warmup; " +
 			"proof_stats, when present, is the redvet -proofstatsout snapshot of statically " +
@@ -113,8 +111,6 @@ func runBenchSuite() {
 	rep.Micro = append(rep.Micro, microBench("TelemetrySample", benchTelemetrySample, true, false))
 	fmt.Fprintln(os.Stderr, "  benchmarking disabled tracer emit...")
 	rep.Micro = append(rep.Micro, microBench("TracerEmitDisabled", benchTracerEmitDisabled, true, false))
-	fmt.Fprintln(os.Stderr, "  benchmarking checkpoint save/restore...")
-	rep.Micro = append(rep.Micro, microBench("CheckpointSaveRestore", benchCheckpointSaveRestore, false, true))
 
 	for _, pair := range []struct {
 		workload string
@@ -283,54 +279,6 @@ func benchTracerEmitDisabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(obs.EvBypass, uint64(i), 1, 2)
-	}
-}
-
-// benchCheckpointSaveRestore measures the per-snapshot container cost:
-// one op encodes a real tiny-machine checkpoint (manifest JSON +
-// payload + sha256 trailer) and decodes it back through the full
-// integrity checks.  The payload comes from an actual LU/RedCache run
-// snapshotted mid-flight, so the measured bytes are what a periodic
-// snapshot of a live machine writes — the number that, against the
-// cadence, says what fraction of a run's wall time checkpointing buys
-// crash resilience for.
-func benchCheckpointSaveRestore(b *testing.B) {
-	dir, err := os.MkdirTemp("", "redbench-ckpt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	cfg := config.Default()
-	spec, err := workloads.ByLabel("LU")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := spec.Gen(cfg.CPU.Cores, workloads.Tiny, 1)
-	path := filepath.Join(dir, "bench.ckpt")
-	if _, err := sim.Run(cfg, hbm.ArchRedCache, tr, &sim.Options{
-		CkptPath: path, CkptPeriod: 20_000,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	man, payload, err := ckpt.LoadFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := ckpt.Encode(man, payload)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err = ckpt.Encode(man, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := ckpt.Decode(data); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

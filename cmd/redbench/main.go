@@ -12,18 +12,10 @@
 //	redbench -fig epochbw    # per-epoch bandwidth time series (telemetry)
 //	redbench -fig faultsweep # detected-vs-silent faults across rate decades
 //	redbench -faults default # fault-inject every run (see redsim -faults)
-//	redbench -ckptdir ck/    # crash-resilient: checkpoint + resume each config
 //
-// -ckptdir runs every figure simulation under the checkpoint
-// supervisor: each (workload, architecture) config snapshots its
-// machine state into the directory every -ckptperiod cycles, a config
-// whose previous attempt died resumes from its last good snapshot
-// instead of re-running from scratch, and failures retry up to
-// -retries attempts.  Checkpoints are integrity-checked and pinned to
-// the exact configuration (config hash, seeds, fault spec); a damaged
-// or mismatched checkpoint aborts the suite rather than silently
-// re-running.  Checkpointing is observationally free — figures are
-// byte-identical with and without -ckptdir.
+// Exit status: 0 on success, 1 on a runtime failure, 2 on a usage
+// error (an unknown -fig, -table or -scale, a bad -faults spec, or a
+// negative -parallel or -invariants).
 package main
 
 import (
@@ -31,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"redcache/internal/config"
@@ -55,12 +48,11 @@ func main() {
 		faultSeed = flag.Int64("faultseed", 1, "fault-injection PRNG seed")
 		invar     = flag.Int64("invariants", 0, "online invariant check period in cycles for every run (0 = off)")
 		sweepWl   = flag.String("faultsweep-workload", "LU", "workload for the -fig faultsweep rate sweep")
-
-		ckptDir    = flag.String("ckptdir", "", "run every figure config under the checkpoint supervisor, snapshotting into this directory")
-		ckptPeriod = flag.Int64("ckptperiod", 1_000_000, "supervised snapshot cadence in cycles (with -ckptdir)")
-		retries    = flag.Int("retries", 3, "bounded attempts per config under the supervisor (with -ckptdir)")
 	)
 	flag.Parse()
+	if err := checkFlags(*fig, *table, *workers, *invar); err != nil {
+		usage(err)
+	}
 
 	if *benchMode {
 		runBenchSuite()
@@ -85,12 +77,12 @@ func main() {
 	case "default":
 		sc = workloads.Default
 	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
+		usage(fmt.Errorf("unknown scale %q (want tiny, small or default)", *scale))
 	}
 
 	fc, err := config.ParseFaults(*faults)
 	if err != nil {
-		fatal(err)
+		usage(err)
 	}
 	fc.Seed = *faultSeed
 
@@ -103,17 +95,6 @@ func main() {
 	}
 	if *invar > 0 {
 		suite.InvariantCycles = *invar
-	}
-	if *ckptDir != "" {
-		if *ckptPeriod <= 0 {
-			fatal(fmt.Errorf("-ckptperiod must be positive, got %d", *ckptPeriod))
-		}
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fatal(err)
-		}
-		suite.CkptDir = *ckptDir
-		suite.CkptPeriod = *ckptPeriod
-		suite.Attempts = *retries
 	}
 	if *only != "" {
 		suite.Workloads = strings.Split(*only, ",")
@@ -324,6 +305,36 @@ func printTable2() {
 	for _, s := range workloads.Catalog() {
 		fmt.Printf("  %-5s %-24s %-9s %s\n", s.Label, s.Name, s.Suite, s.Input)
 	}
+}
+
+// figs lists the accepted -fig values: "all", each paper figure, the
+// text statistics, and the opt-in studies.
+var figs = []string{"all", "2a", "2b", "3", "9", "10", "11", "stats", "ablation", "epochbw", "faultsweep"}
+
+// checkFlags rejects flag values main would otherwise ignore or fall
+// through on: an unknown -fig prints nothing, an unknown -table runs
+// the whole evaluation, and negative -parallel or -invariants would be
+// dropped as if unset.
+func checkFlags(fig string, table, parallel int, invariants int64) error {
+	if !slices.Contains(figs, fig) {
+		return fmt.Errorf("unknown -fig %q (want one of %s)", fig, strings.Join(figs, ", "))
+	}
+	if table != 0 && table != 1 && table != 2 {
+		return fmt.Errorf("unknown -table %d (want 1 or 2)", table)
+	}
+	if parallel < 0 {
+		return fmt.Errorf("-parallel must be non-negative, got %d", parallel)
+	}
+	if invariants < 0 {
+		return fmt.Errorf("-invariants must be non-negative, got %d", invariants)
+	}
+	return nil
+}
+
+// usage reports a bad flag value and exits 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "redbench:", err)
+	os.Exit(2)
 }
 
 func fatalIf(err error) {

@@ -6,7 +6,6 @@
 //	redsim -workload LU -arch RedCache [-scale default] [-seed 1]
 //	       [-faults default -faultseed 1] [-invariants [-invperiod 10000]]
 //	       [-maxcycles N]
-//	       [-ckpt run.ckpt [-ckptperiod N] [-resume]]
 //	       [-telemetry out/ -epoch 100000 [-events]]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace run.trace]
 //
@@ -23,18 +22,6 @@
 // convert a corrupted or stuck simulation into a structured non-zero
 // exit instead of a hang.
 //
-// -ckpt names a checkpoint file.  With -ckptperiod N the run writes a
-// resumable snapshot of the complete machine state there every N
-// cycles; snapshots are taken at observationally free pause points, so
-// the checkpointed run's report is byte-identical to an uninterrupted
-// one.  -resume restores the run from that file instead of starting
-// fresh; the checkpoint's manifest (config hash, workload, arch,
-// seeds, fault spec, telemetry cadence) must match the
-// flags given, and a damaged or mismatched checkpoint is rejected with
-// exit status 2 — never silently re-run.  A tripped watchdog or
-// invariant abort additionally writes a non-resumable diagnostic
-// snapshot to <ckpt>.final.
-//
 // -telemetry enables cycle-domain telemetry (internal/obs): probes are
 // sampled every -epoch cycles and written to <dir>/series.jsonl and
 // <dir>/series.csv; -events additionally records the structured event
@@ -45,12 +32,10 @@
 // `go tool trace`.
 //
 // Exit status: 0 on success, 1 on a runtime failure (including watchdog
-// and invariant aborts), 2 on a usage error or a rejected checkpoint
-// (truncated, corrupt, version-skewed, or mismatched with the flags).
+// and invariant aborts), 2 on a usage error.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,7 +45,6 @@ import (
 	rttrace "runtime/trace"
 	"time"
 
-	"redcache/internal/ckpt"
 	"redcache/internal/config"
 	"redcache/internal/hbm"
 	"redcache/internal/obs"
@@ -90,9 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		invar     = fs.Bool("invariants", false, "run the online invariant checker every -invperiod cycles")
 		invPeriod = fs.Int64("invperiod", 10000, "invariant check period in CPU cycles (with -invariants)")
 		maxCycles = fs.Int64("maxcycles", 0, "abort via the cycle-budget watchdog past this many cycles (0 = no limit)")
-		ckptPath  = fs.String("ckpt", "", "checkpoint file (with -ckptperiod and/or -resume)")
-		ckptEvery = fs.Int64("ckptperiod", 0, "write a resumable snapshot to -ckpt every N cycles (0 = off)")
-		resume    = fs.Bool("resume", false, "restore the run from the checkpoint at -ckpt instead of starting fresh")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProf   = fs.String("memprofile", "", "write a post-run heap profile to this file")
 		execTr    = fs.String("trace", "", "write a runtime execution trace of the simulation to this file")
@@ -138,15 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *events && *telDir == "" {
 		return usage(fmt.Errorf("-events requires -telemetry"))
 	}
-	if *ckptEvery < 0 {
-		return usage(fmt.Errorf("-ckptperiod must be non-negative, got %d", *ckptEvery))
-	}
-	if *ckptEvery > 0 && *ckptPath == "" {
-		return usage(fmt.Errorf("-ckptperiod requires -ckpt"))
-	}
-	if *resume && *ckptPath == "" {
-		return usage(fmt.Errorf("-resume requires -ckpt"))
-	}
 
 	tr := spec.Gen(cfg.CPU.Cores, sc, *seed)
 
@@ -173,12 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer rttrace.Stop()
 	}
 
-	opts := &sim.Options{
-		Faults:     &fc,
-		MaxCycles:  *maxCycles,
-		CkptPath:   *ckptPath,
-		CkptPeriod: *ckptEvery,
-	}
+	opts := &sim.Options{Faults: &fc, MaxCycles: *maxCycles}
 	if *invar {
 		opts.InvariantCycles = *invPeriod
 	}
@@ -187,17 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now() //redvet:wallclock — host-side progress timing, never feeds simulated state
-	var res *sim.Result
-	if *resume {
-		res, err = sim.Resume(cfg, hbm.Arch(*arch), tr, opts, *ckptPath)
-	} else {
-		res, err = sim.Run(cfg, hbm.Arch(*arch), tr, opts)
-	}
+	res, err := sim.Run(cfg, hbm.Arch(*arch), tr, opts)
 	if err != nil {
-		if ckptReject(err) {
-			fmt.Fprintln(stderr, "redsim:", err)
-			return 2
-		}
 		return fail(err)
 	}
 	wall := time.Since(start) //redvet:wallclock — host-side progress timing, never feeds simulated state
@@ -270,14 +228,6 @@ func report(w io.Writer, cfg *config.System, spec workloads.Spec, sc workloads.S
 		stats.Fmt(res.Ctl.LastWriteShare()))
 	fmt.Fprintf(w, "energy: HBM cache %.4f J, system %.4f J\n",
 		res.Energy.HBMCache(), res.Energy.System())
-}
-
-// ckptReject reports whether err is a structured checkpoint reject —
-// the classes a supervisor must treat as "do not retry this file"
-// rather than a transient runtime failure.
-func ckptReject(err error) bool {
-	return errors.Is(err, ckpt.ErrTruncated) || errors.Is(err, ckpt.ErrCorrupt) ||
-		errors.Is(err, ckpt.ErrVersion) || errors.Is(err, ckpt.ErrMismatch)
 }
 
 func parseScale(s string) (workloads.Scale, error) {

@@ -38,9 +38,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-invperiod", "0"},
 		{"-maxcycles", "-1"},
 		{"-events"}, // -events without -telemetry
-		{"-ckptperiod", "-1"},
-		{"-ckptperiod", "1000"}, // -ckptperiod without -ckpt
-		{"-resume"},             // -resume without -ckpt
 	}
 	for _, args := range cases {
 		code, _, stderr := runCLI(args...)
@@ -115,66 +112,6 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 	if stripWall(first) == stripWall(other) {
 		t.Error("different fault seeds produced identical reports")
-	}
-}
-
-func TestCheckpointCLI(t *testing.T) {
-	base := []string{"-scale", "tiny", "-cores", "4"}
-	code, ref, stderr := runCLI(base...)
-	if code != 0 {
-		t.Fatalf("plain run: exit %d, stderr %q", code, stderr)
-	}
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	ckArgs := append(append([]string{}, base...), "-ckpt", path, "-ckptperiod", "10000")
-	code, ck, stderr := runCLI(ckArgs...)
-	if code != 0 {
-		t.Fatalf("checkpointed run: exit %d, stderr %q", code, stderr)
-	}
-	if stripWall(ck) != stripWall(ref) {
-		t.Errorf("-ckptperiod perturbed the report:\n--- plain ---\n%s\n--- checkpointed ---\n%s", ref, ck)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpointed run left no snapshot: %v", err)
-	}
-
-	resArgs := append(append([]string{}, base...), "-ckpt", path, "-resume")
-	code, res, stderr := runCLI(resArgs...)
-	if code != 0 {
-		t.Fatalf("resume: exit %d, stderr %q", code, stderr)
-	}
-	if stripWall(res) != stripWall(ref) {
-		t.Errorf("-resume diverged from the uninterrupted run:\n--- plain ---\n%s\n--- resumed ---\n%s", ref, res)
-	}
-
-	// Mismatched flags: same file, different fault spec.
-	code, _, stderr = runCLI(append(append([]string{}, resArgs...), "-faults", "default")...)
-	if code != 2 {
-		t.Errorf("mismatched resume: exit %d, want 2 (stderr %q)", code, stderr)
-	}
-
-	// Damaged file: flip one byte mid-payload.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runCLI(resArgs...)
-	if code != 2 {
-		t.Errorf("corrupt resume: exit %d, want 2 (stderr %q)", code, stderr)
-	}
-	if stderr == "" {
-		t.Error("corrupt resume printed no diagnostic")
-	}
-
-	// A missing checkpoint is a runtime failure (exit 1), not a reject:
-	// the caller may want to fall back to a fresh run.
-	code, _, _ = runCLI(append(append([]string{}, base...), "-ckpt", path+".nope", "-resume")...)
-	if code != 1 {
-		t.Errorf("missing checkpoint: exit %d, want 1", code)
 	}
 }
 

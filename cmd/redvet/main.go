@@ -4,11 +4,10 @@
 // DESIGN.md, "Determinism contract & static analysis").  Since v3
 // detsched proves the sim core free of scheduling nondeterminism and
 // fporder pins the iteration order of float reductions.  v4 adds
-// structural proofs: statefold (fold/merge/snapshot/delta/reset and
-// checkpoint save/load functions drop no field of a stats or
-// //redvet:state struct) and wallflow (wall-clock reads never reach
-// deterministic state).  -proofstats reports the discharged obligation
-// counts.
+// structural proofs: statefold (fold/merge/snapshot/delta/reset
+// functions drop no field of a stats-shaped struct) and wallflow
+// (wall-clock reads never reach deterministic state).  -proofstats
+// reports the discharged obligation counts.
 //
 // Usage:
 //

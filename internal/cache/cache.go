@@ -11,7 +11,6 @@ import (
 	"redcache/internal/stats"
 )
 
-//redvet:state
 type line struct {
 	tag   uint64
 	valid bool

@@ -1,7 +1,11 @@
 // Package ckpt is the deterministic checkpoint codec: a versioned,
 // sha256-integrity-checked, torn-write-safe container for a serialized
-// machine state, plus the primitive binary encoder/decoder every
+// machine state, plus the primitive binary encoder/decoder a
 // component's save/load pair builds on.
+//
+// No package imports ckpt: the simulator no longer checkpoints or
+// resumes runs, because none lasts long enough to need it.  The
+// package is a self-contained leaf kept only until its own removal.
 //
 // A checkpoint file is
 //
@@ -10,7 +14,7 @@
 //
 // The manifest is JSON so a corrupt or mismatched checkpoint can be
 // inspected with standard tools; the payload is a flat little-endian
-// binary stream produced by component SaveState methods, with section
+// binary stream produced by component encoders, with section
 // tags so a desynchronized decode fails loudly instead of misreading
 // a neighbouring component's bytes.
 //
@@ -138,7 +142,7 @@ func (m *Manifest) Compatible(want *Manifest) error {
 
 // Writer is the in-memory payload encoder.  All integers are
 // little-endian fixed width; the writer never fails (encoding errors
-// are structurally impossible), so component SaveState methods stay
+// are structurally impossible), so component encoders stay
 // branch-free.
 type Writer struct {
 	buf []byte

@@ -6,8 +6,6 @@
 package cpu
 
 import (
-	"unsafe"
-
 	"redcache/internal/cache"
 	"redcache/internal/config"
 	"redcache/internal/engine"
@@ -22,10 +20,6 @@ type Submitter interface {
 }
 
 type slot struct {
-	// id is the slot's creation ordinal on its core — the stable
-	// checkpoint identity for the slot, its completion callback, and its
-	// embedded request.
-	id    int
 	done  int64
 	ready bool
 	// req is the embedded, reused demand-read request for misses served
@@ -43,8 +37,6 @@ type slot struct {
 // StoreBufferSize), so a preallocated ring plus a slot free list keeps
 // the per-record hot path allocation-free; slot pointers stay stable
 // for the completion callbacks that write into them.
-//
-//redvet:state
 type slotRing struct {
 	buf  []*slot
 	head int
@@ -108,13 +100,6 @@ type Core struct {
 	// tickFn is the core's single engine callback, created once so
 	// scheduling a step never allocates a closure.
 	tickFn func()
-
-	// slots indexes every slot ever created by id, and reg (when
-	// attached) assigns each new slot's callback and request a stable
-	// checkpoint key.  Both are save/load-path concerns; the hot paths
-	// only touch the rings and free list.
-	slots []*slot
-	reg   *engine.FnRegistry
 }
 
 // NewCore builds a core over the shared hierarchy and memory subsystem.
@@ -227,16 +212,9 @@ func (c *Core) getSlot() *slot {
 //redvet:coldstart — slot pool fill up to the architectural bound; binds the once-per-slot completion closure
 func (c *Core) newSlot() *slot {
 	s := new(slot)
-	s.id = len(c.slots)
 	s.doneFn = func(finish int64) {
 		s.done, s.ready = finish, true
 		c.kick()
-	}
-	c.slots = append(c.slots, s)
-	if c.reg != nil {
-		key := engine.Key(engine.KeyCPUSlot, uint32(c.id), uint32(s.id))
-		c.reg.RegisterTimed(key, s.doneFn)
-		c.reg.RegisterPtr(key, unsafe.Pointer(&s.req))
 	}
 	return s
 }

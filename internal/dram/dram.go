@@ -76,8 +76,6 @@ type Txn struct {
 }
 
 // bank is per-channel DRAM bank state.
-//
-//redvet:state
 type bank struct {
 	openRow   int64 // -1 when closed
 	actAt     int64 // cycle of last ACT
@@ -88,8 +86,6 @@ type bank struct {
 }
 
 // rank is per-channel rank timing state.
-//
-//redvet:state
 type rank struct {
 	banks   []bank
 	lastAct int64    // for tRRD
@@ -99,8 +95,6 @@ type rank struct {
 
 // channel is one DRAM channel's command-scheduling state: its queues,
 // ranks and banks, bus and refresh bookkeeping.
-//
-//redvet:state
 type channel struct {
 	rdq, wrq    rowQueue // split read/write transaction queues
 	drainWr     bool     // write-drain mode (watermark hysteresis)
@@ -288,18 +282,6 @@ func (ch *channel) queuePush(t *Txn) {
 func (ch *channel) rowOpened(b int, row int64) {
 	ch.rdq.rowOpened(b, row)
 	ch.wrq.rowOpened(b, row)
-}
-
-// syncHits points both queues' hits at the FIFOs of the banks' open
-// rows, for queues refilled without hits (checkpoint restore).
-func (ch *channel) syncHits() {
-	for r := range ch.ranks {
-		for bi, b := range ch.ranks[r].banks {
-			if b.openRow >= 0 {
-				ch.rowOpened(ch.rdq.bankOf(Location{Rank: r, Bank: bi}), b.openRow)
-			}
-		}
-	}
 }
 
 // SetWriteHook installs the RCU piggyback hook.

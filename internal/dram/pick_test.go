@@ -168,8 +168,9 @@ func TestInvariantsCatchIndexCorruption(t *testing.T) {
 		}
 		ch := &c.chans[0]
 		ch.ranks[0].banks[0].openRow = 1
+		ch.rowOpened(0, 1)
 		ch.ranks[0].banks[2].openRow = 0
-		ch.syncHits()
+		ch.rowOpened(2, 0)
 		return c, ch
 	}
 	if c, _ := build(); c.CheckInvariants() != nil {

@@ -12,7 +12,7 @@ import (
 // Txn itself:
 //
 //   - the queue-order list (prev/next), oldest first, which the
-//     no-row-hit fallback scans and the checkpoint codec serializes;
+//     no-row-hit fallback scans;
 //   - one FIFO per (rank, bank, row) (rowNext), oldest first, held in
 //     an open-addressed table keyed by row<<bankBits | bank.
 //
@@ -26,8 +26,6 @@ import (
 // head by construction, and without row hits every transaction to one
 // (bank, row) has the same readyAt, so the lowest-index tie-break in
 // the fallback scan picks the head too.  Removal is O(1) on both lists.
-//
-//redvet:state
 type rowQueue struct {
 	head, tail *Txn
 	n          int
@@ -45,8 +43,6 @@ type rowQueue struct {
 
 // rowFIFO is a queue's FIFO of transactions to one (rank, bank, row),
 // linked through Txn.rowNext.  A slot with a nil head is empty.
-//
-//redvet:state
 type rowFIFO struct {
 	key        uint64
 	head, tail *Txn
@@ -270,15 +266,4 @@ func (q *rowQueue) remove(s int) {
 	}
 	q.slots[s] = rowFIFO{}
 	q.used--
-}
-
-// reset empties the queue (checkpoint restore refills it), keeping the
-// table's capacity.
-func (q *rowQueue) reset() {
-	_, _, _ = q.shift, q.bankBits, q.banksPerRank // capacity and geometry survive
-	q.head, q.tail, q.n, q.seq, q.used = nil, nil, 0, 0, 0
-	for i := range q.slots {
-		q.slots[i] = rowFIFO{}
-	}
-	q.clearHits()
 }

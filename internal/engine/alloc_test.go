@@ -70,33 +70,3 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state Run allocated %.1f allocs/op, want 0", allocs)
 	}
 }
-
-// TestStepWithRegistryZeroAlloc pins the hot loop with the checkpoint
-// callback registry attached: registration happens at build/restore
-// time, so steady-state scheduling and stepping must stay at 0
-// allocs/op exactly as without a registry.
-func TestStepWithRegistryZeroAlloc(t *testing.T) {
-	e := New()
-	reg := NewFnRegistry()
-	e.AttachRegistry(reg)
-	fn := func() {}
-	timed := func(int64) {}
-	arged := func(uint64) {}
-	reg.RegisterFn(Key(1, 0, 0), fn)
-	reg.RegisterTimed(Key(1, 0, 1), timed)
-	reg.RegisterArg(Key(1, 0, 2), arged)
-	for i := 0; i < 1024; i++ {
-		e.Schedule(int64(i), fn)
-	}
-	e.Run()
-	if allocs := testing.AllocsPerRun(200, func() {
-		e.After(1, fn)
-		e.ScheduleTimed(e.Now()+1, timed)
-		e.ScheduleArg(e.Now()+1, arged, 7)
-		e.Step()
-		e.Step()
-		e.Step()
-	}); allocs != 0 {
-		t.Fatalf("registry-attached Schedule+Step allocated %.1f allocs/op, want 0", allocs)
-	}
-}

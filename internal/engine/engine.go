@@ -46,22 +46,6 @@ type Engine struct {
 	// periodic can tell "only other periodics remain" apart from "real
 	// work is still pending" when deciding whether to auto-stop.
 	periodicTicks int
-	// periodics records every Periodic created on this engine in
-	// creation order, and reg (when attached before any
-	// SchedulePeriodic call) keys their tick callbacks for
-	// checkpointing.  Both are nil/empty outside checkpointable runs.
-	periodics []*Periodic
-	reg       *FnRegistry
-}
-
-// AttachRegistry wires the callback registry for checkpointable runs.
-// Must be called before any SchedulePeriodic so tick ordinals match
-// between the saving and the restoring machine.
-func (e *Engine) AttachRegistry(reg *FnRegistry) {
-	if len(e.periodics) > 0 {
-		panic("engine: AttachRegistry after SchedulePeriodic")
-	}
-	e.reg = reg
 }
 
 // New returns an empty engine at cycle 0.

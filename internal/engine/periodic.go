@@ -28,10 +28,6 @@ func (e *Engine) SchedulePeriodic(period int64, fn func(now int64)) *Periodic {
 	}
 	p := &Periodic{e: e, period: period, fn: fn}
 	p.tick = p.run
-	if e.reg != nil {
-		e.reg.RegisterTimed(Key(KeyPeriodic, uint32(len(e.periodics)), 0), p.tick)
-	}
-	e.periodics = append(e.periodics, p)
 	e.periodicTicks++
 	e.ScheduleTimed(e.now+period, p.tick)
 	return p

@@ -43,17 +43,6 @@ type Suite struct {
 	InvariantCycles int64
 	// MaxCycles, when > 0, arms the cycle-budget watchdog on every run.
 	MaxCycles int64
-	// CkptDir, when set, runs every figure config under the checkpoint
-	// supervisor (see supervisor.go): runs snapshot their state there
-	// every CkptPeriod cycles, a config whose previous attempt died
-	// resumes from its last good snapshot, and failures retry up to
-	// Attempts times.  A damaged or mismatched checkpoint is a hard
-	// error, never a silent re-run.
-	CkptDir string
-	// CkptPeriod is the supervised snapshot cadence in cycles.
-	CkptPeriod int64
-	// Attempts bounds supervised retries per config (0 = default 3).
-	Attempts int
 
 	mu      sync.Mutex
 	traces  map[string]*trace.Trace
@@ -125,12 +114,7 @@ func (s *Suite) resultG(label string, arch hbm.Arch, gran int) (*sim.Result, err
 	}
 	cfg := *s.Sys // shallow copy; granularity differs per run
 	cfg.Granularity = gran
-	var res *sim.Result
-	if s.CkptDir != "" {
-		res, err = s.supervisedRun(label, arch, gran, &cfg, t)
-	} else {
-		res, err = sim.Run(&cfg, arch, t, s.runOpts())
-	}
+	res, err := sim.Run(&cfg, arch, t, s.runOpts())
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", label, arch, err)
 	}

@@ -18,8 +18,6 @@ import "redcache/internal/mem"
 //
 // The transfer granularity between DDR4 and HBM follows cfg.Granularity
 // (64/128/256 B, swept by Fig 2b); demand traffic to the CPU stays 64 B.
-//
-//redvet:state
 type alloy struct {
 	ctlBase
 	ops *opPool

@@ -22,15 +22,9 @@ import (
 // affordable structure to prove a read absent.  The DCP filter is exact
 // in simulation (the functional tag store is available); real BEAR
 // tracks presence bits alongside L3 lines with small error.
-//
-//redvet:state
 type bear struct {
 	ctlBase
 	rng *rand.Rand
-	// draws counts Float64 calls on rng.  rand.Rand's internal state is
-	// opaque, so a checkpoint restore re-seeds and replays this many
-	// draws to land the stream on the same position.
-	draws uint64
 	// hitEWMA tracks recent demand hit rate in [0,1].
 	hitEWMA float64
 	// sampleCtr dedicates 1/32 of accesses to always-fill sampling so the
@@ -88,7 +82,6 @@ func (c *bear) shouldFill() bool {
 		}
 	}
 	p := 0.1 + 0.9*c.hitEWMA
-	c.draws++
 	return c.rng.Float64() < p
 }
 

@@ -143,8 +143,6 @@ func (s *Stats) LastWriteShare() float64 {
 // bits next to the data in DRAM; the simulator keeps them here so
 // hit/miss decisions are exact while the *timing* of tag access is paid
 // through the modeled TAD reads.
-//
-//redvet:state
 type tagEntry struct {
 	tag       uint64
 	valid     bool
@@ -154,8 +152,6 @@ type tagEntry struct {
 }
 
 // tagStore is a direct-mapped tag array at transfer granularity G.
-//
-//redvet:state
 type tagStore struct {
 	entries []tagEntry
 	mask    uint64

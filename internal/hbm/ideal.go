@@ -7,8 +7,6 @@ import "redcache/internal/mem"
 // bandwidth: every request starts with a TAD read, and a write needs a
 // second HBM access after the bus turns around (Fig 7's premise that "a
 // single tag and data may be accessed per transfer").
-//
-//redvet:state
 type ideal struct {
 	d   deps
 	s   Stats

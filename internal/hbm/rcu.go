@@ -24,8 +24,6 @@ import (
 // Demand writes to a queued block persist its count for free (the write
 // rewrites the whole TAD anyway), and because the RAM holds the 32 most
 // recently read blocks it doubles as a tiny block cache.
-//
-//redvet:state
 type rcuEntry struct {
 	addr  mem.Addr
 	loc   dram.Location
@@ -36,7 +34,6 @@ type rcuEntry struct {
 // write into the 8 B tag+ECC region of the TAD, not a full 64 B burst.
 const rcUpdateBytes = 8
 
-//redvet:state
 type rcuManager struct {
 	hbm     *dram.Controller
 	cap     int

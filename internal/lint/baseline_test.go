@@ -113,7 +113,7 @@ func TestBaselineV3Analyzers(t *testing.T) {
 // behind after the finding is fixed surface as stale.
 func TestBaselineV4Analyzers(t *testing.T) {
 	doc := `{"analyzer":"statefold","file":"internal/dram/dram.go","message":"fold-family function foldTotals drops field Interface.Requests of base c.iface: fold, merge or reset it, or annotate the field //redvet:foldexempt with a justification","justification":"transitional, fold line lands with the stats rewrite"}
-{"analyzer":"statefold","file":"internal/dram/ckpt.go","message":"save-family function saveState drops field rank.actIdx of base rk: fold, merge or reset it, or annotate the field //redvet:foldexempt with a justification","justification":"codec line lands with the next format bump"}
+{"analyzer":"statefold","file":"internal/stats/stats.go","message":"delta-family function Delta drops field Interface.Activates of base Interface literal: fold, merge or reset it, or annotate the field //redvet:foldexempt with a justification","justification":"delta line lands with the stats rewrite"}
 {"analyzer":"wallflow","file":"cmd/redsim/main.go","message":"wall-clock-derived value stamp reaches (*redcache/internal/engine.Engine).RunUntil (an engine schedule argument); wall time may only flow to stderr reports and benchmark files, never into deterministic state or output","justification":"dead code path, removed with the report rewrite"}
 `
 	b, err := ParseBaseline([]byte(doc))
@@ -133,7 +133,7 @@ func TestBaselineV4Analyzers(t *testing.T) {
 		t.Fatalf("kept = %v, want only the unsanctioned wallflow finding", kept)
 	}
 	if len(stale) != 2 {
-		t.Fatalf("stale = %v, want the fixed statefold codec and wallflow entries", stale)
+		t.Fatalf("stale = %v, want the fixed statefold delta and wallflow entries", stale)
 	}
 	staleAnalyzers := map[string]bool{}
 	for _, s := range stale {

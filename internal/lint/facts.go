@@ -100,11 +100,6 @@ type PackageFacts struct {
 	// have been observed holding nanosecond-domain values to a short
 	// reason string describing the write that tainted them.
 	Tainted map[string]string `json:"tainted,omitempty"`
-	// State maps type names annotated //redvet:state in this package
-	// to the annotation's justification (may be empty — the marker adds
-	// obligations, it doesn't suppress).  statefold holds their
-	// fold-family and checkpoint codec functions field-exhaustive.
-	State map[string]string `json:"state,omitempty"`
 	// FoldExempt maps field keys ("TypeName.field") of types declared in
 	// this package to the //redvet:foldexempt justification: the field is
 	// deliberately outside the fold-exhaustiveness proof (statefold).
@@ -138,7 +133,6 @@ func (s *FactStore) pkg(pkgPath string) *PackageFacts {
 		pf = &PackageFacts{
 			Funcs:      make(map[string]*FuncFacts),
 			Tainted:    make(map[string]string),
-			State:      make(map[string]string),
 			FoldExempt: make(map[string]string),
 			WallFields: make(map[string]string),
 		}
@@ -216,23 +210,6 @@ func (s *FactStore) TaintReason(pkgPath, key string) (string, bool) {
 	}
 	r, ok := pf.Tainted[key]
 	return r, ok
-}
-
-// MarkState records that typeName (declared in pkgPath) carries the
-// //redvet:state marker.
-func (s *FactStore) MarkState(pkgPath, typeName, justification string) {
-	s.pkg(pkgPath).State[typeName] = justification
-}
-
-// IsState reports whether typeName in pkgPath is annotated
-// //redvet:state.
-func (s *FactStore) IsState(pkgPath, typeName string) bool {
-	pf := s.pkgs[pkgPath]
-	if pf == nil {
-		return false
-	}
-	_, ok := pf.State[typeName]
-	return ok
 }
 
 // MarkFoldExempt records that field fieldKey ("TypeName.field") of a
@@ -313,9 +290,6 @@ func (s *FactStore) ImportPackage(pkgPath string, data []byte) error {
 	}
 	if pf.Tainted == nil {
 		pf.Tainted = make(map[string]string)
-	}
-	if pf.State == nil {
-		pf.State = make(map[string]string)
 	}
 	if pf.FoldExempt == nil {
 		pf.FoldExempt = make(map[string]string)

@@ -45,11 +45,6 @@
 //	                      amortized warm-up allocation (pool refill,
 //	                      ring growth) and may be called from hotpath
 //	                      functions; requires a justification
-//	//redvet:state      — the struct below is simulation state whose
-//	                      fold-family and SaveState/LoadState codec
-//	                      functions must be field-exhaustive (checked
-//	                      by statefold); like hotpath it adds
-//	                      obligations, so no justification is required
 //	//redvet:foldexempt — the struct field below is deliberately outside
 //	                      the statefold fold-exhaustiveness proof
 //	                      (identity labels, centrally-counted totals);
@@ -223,7 +218,7 @@ var suppressionTokens = map[string]bool{
 
 // markerTokens are contract markers that add obligations instead of
 // removing them; they need no justification.
-var markerTokens = map[string]bool{"hotpath": true, "state": true}
+var markerTokens = map[string]bool{"hotpath": true}
 
 // directiveLines extracts redvet directives from a file's comments,
 // keyed by the line the comment ends on.
@@ -326,20 +321,17 @@ type Session struct {
 }
 
 // ProofStats counts statically discharged proof obligations across one
-// session: annotation obligations carried in the fact store (hotpath,
-// state) and the per-site proofs the v4 analyzers complete over the
-// target packages (fold-exhaustive fields, wall-clock source
-// confinement).
+// session: hotpath annotation obligations carried in the fact store and
+// the per-site proofs the v4 analyzers complete over the target
+// packages (fold-exhaustive fields, wall-clock source confinement).
 type ProofStats struct {
 	Hotpath  int `json:"hotpath"`
-	State    int `json:"state"`
 	Fold     int `json:"fold"`
 	Wallflow int `json:"wallflow"`
 }
 
 func (ps ProofStats) String() string {
-	return fmt.Sprintf("hotpath=%d state=%d fold=%d wallflow=%d",
-		ps.Hotpath, ps.State, ps.Fold, ps.Wallflow)
+	return fmt.Sprintf("hotpath=%d fold=%d wallflow=%d", ps.Hotpath, ps.Fold, ps.Wallflow)
 }
 
 // ProofStats returns the session's proof-obligation counts: annotation
@@ -352,7 +344,6 @@ func (s *Session) ProofStats() ProofStats {
 		if pf == nil {
 			continue
 		}
-		ps.State += len(pf.State)
 		for _, ff := range pf.Funcs {
 			if ff.Hotpath {
 				ps.Hotpath++
@@ -427,7 +418,7 @@ func auditDirectives(pkg *Package) []Diagnostic {
 					out = append(out, Diagnostic{
 						Analyzer: "directive",
 						Pos:      pkg.Fset.Position(d.Pos),
-						Message:  fmt.Sprintf("unknown redvet directive %q (known: alloc, coldstart, detsafe, foldexempt, fporder, hotpath, ordered, state, statshook, units, unitflow, wallclock, wallflow)", d.Tok),
+						Message:  fmt.Sprintf("unknown redvet directive %q (known: alloc, coldstart, detsafe, foldexempt, fporder, hotpath, ordered, statshook, units, unitflow, wallclock, wallflow)", d.Tok),
 					})
 				case suppressionTokens[d.Tok] && d.Just == "":
 					out = append(out, Diagnostic{

@@ -207,11 +207,10 @@ func TestDirectiveAudit(t *testing.T) {
 //redvet:hotpath
 func f() {}
 
-//redvet:stat — typo'd marker
+//redvet:hotpth — typo'd marker
 //redvet:detsafe
 //redvet:fporder — v3 suppression, properly justified
 //redvet:detsafe — v3 suppression, properly justified
-//redvet:state
 type q struct{}
 
 //redvet:foldexempt
@@ -236,7 +235,7 @@ func g() {}
 	want := []string{
 		`unknown redvet directive "orderd"`,
 		"//redvet:wallclock needs a justification",
-		`unknown redvet directive "stat"`,
+		`unknown redvet directive "hotpth"`,
 		"//redvet:detsafe needs a justification",
 		"//redvet:foldexempt needs a justification",
 		"//redvet:wallflow needs a justification",

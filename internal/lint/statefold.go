@@ -11,25 +11,19 @@ import (
 )
 
 // StateFold proves fold-exhaustiveness: every fold/merge/snapshot/reset
-// function over a //redvet:state type or a stats-shaped accumulator
-// struct must handle every field of that struct — fold it, merge it,
-// reset it, or carry an explicit //redvet:foldexempt justification on
-// the field declaration.  Add a field to a stats struct, forget the
-// fold line, and the totals silently lose it; statefold catches that at
-// lint time.  statefold is the only reader of the //redvet:state
-// marker.
+// function over a stats-shaped accumulator struct must handle every
+// field of that struct — fold it, merge it, reset it, or carry an
+// explicit //redvet:foldexempt justification on the field declaration.
+// Add a field to a stats struct, forget the fold line, and the totals
+// silently lose it; statefold catches that at lint time.
 //
 // The proof is transitive: every function exports FoldCovers facts (the
 // per-type field sets it folds on receiver/parameter-rooted values), so
 // a fold that delegates to helpers — in the same package or
 // another — inherits their coverage.  Obligations, by contrast, are
 // strictly local: only functions whose name starts with a fold-family
-// prefix (fold, merge, snapshot, delta, reset, save, load) are required
-// to be exhaustive, and only over the bases they actually accumulate
-// into.  The save/load families extend the contract to the checkpoint
-// codec: SaveState's reads and LoadState's stores must each touch every
-// field of a checkpointed struct, so adding a field without updating
-// the codec fails the lint instead of silently corrupting restores.
+// prefix (fold, merge, snapshot, delta, reset) are required to be
+// exhaustive, and only over the bases they actually accumulate into.
 //
 // Two deliberate asymmetries keep the proof honest:
 //
@@ -43,9 +37,9 @@ import (
 // bases: `return Delta{Reads: ...}` must list every Delta field.
 var StateFold = &Analyzer{
 	Name: "statefold",
-	Doc: "proves fold/merge/snapshot/reset and checkpoint save/load functions " +
-		"field-exhaustive over //redvet:state and stats structs, transitively via " +
-		"FoldCovers facts; dropped fields need //redvet:foldexempt with a justification",
+	Doc: "proves fold/merge/snapshot/delta/reset functions field-exhaustive over " +
+		"stats-shaped structs, transitively via FoldCovers facts; dropped fields " +
+		"need //redvet:foldexempt with a justification",
 	Directive: "foldexempt",
 	Scope:     statefoldScope,
 	Facts:     statefoldFacts,
@@ -81,11 +75,8 @@ func statefoldScope(path string) bool {
 }
 
 // foldFamilies are the function-name prefixes that carry an
-// exhaustiveness obligation.  save/load cover the checkpoint codec
-// pairs (SaveState/LoadState): a field added to a checkpointed struct
-// without a matching serialize/deserialize line is the restore-time
-// twin of the dropped-fold bug.
-var foldFamilies = []string{"fold", "merge", "snapshot", "delta", "reset", "save", "load"}
+// exhaustiveness obligation.
+var foldFamilies = []string{"fold", "merge", "snapshot", "delta", "reset"}
 
 func foldFamily(name string) string {
 	l := strings.ToLower(name)
@@ -132,8 +123,8 @@ func shapedField(t types.Type, depth int) bool {
 
 // foldCandidate returns the named struct behind t (derefing one
 // pointer) if it is a fold-exhaustiveness subject: a stats-shaped value
-// accumulator or a //redvet:state struct.
-func foldCandidate(facts *FactStore, t types.Type) *types.Named {
+// accumulator.
+func foldCandidate(t types.Type) *types.Named {
 	if t == nil {
 		return nil
 	}
@@ -145,16 +136,10 @@ func foldCandidate(facts *FactStore, t types.Type) *types.Named {
 	if !ok || named.Obj().Pkg() == nil {
 		return nil
 	}
-	if _, ok := named.Underlying().(*types.Struct); !ok {
+	if !statsShaped(named, 0) {
 		return nil
 	}
-	if facts.IsState(named.Obj().Pkg().Path(), named.Obj().Name()) {
-		return named
-	}
-	if statsShaped(named, 0) {
-		return named
-	}
-	return nil
+	return named
 }
 
 // foldTypeKey is the cross-package FoldCovers key for a candidate type.
@@ -280,12 +265,6 @@ type foldScan struct {
 	poisoned map[types.Object]bool
 	bases    map[string]*foldBase // nil entries cache non-candidates
 	changed  bool
-	// readsObligate flips the obligation source for save-family
-	// functions: a serializer's field handling IS the read (w.I64(c.hits)),
-	// so chain reads obligate their base exactly as stores do elsewhere.
-	// The `_ = c.wiring` idiom marks fields that are deliberately rebuilt,
-	// not serialized — the read grants coverage like any other.
-	readsObligate bool
 }
 
 func newFoldScan(pass *Pass, decl *ast.FuncDecl) *foldScan {
@@ -294,15 +273,14 @@ func newFoldScan(pass *Pass, decl *ast.FuncDecl) *foldScan {
 		return nil
 	}
 	f := &foldScan{
-		pass:          pass,
-		facts:         pass.EnsureFacts(),
-		decl:          decl,
-		fn:            fn,
-		roots:         make(map[types.Object]bool),
-		aliases:       make(map[types.Object]foldRef),
-		poisoned:      make(map[types.Object]bool),
-		bases:         make(map[string]*foldBase),
-		readsObligate: foldFamily(fn.Name()) == "save",
+		pass:     pass,
+		facts:    pass.EnsureFacts(),
+		decl:     decl,
+		fn:       fn,
+		roots:    make(map[types.Object]bool),
+		aliases:  make(map[types.Object]foldRef),
+		poisoned: make(map[types.Object]bool),
+		bases:    make(map[string]*foldBase),
 	}
 	sig := fn.Type().(*types.Signature)
 	if r := sig.Recv(); r != nil {
@@ -336,7 +314,7 @@ func (f *foldScan) base(root types.Object, path []string) *foldBase {
 	if b, ok := f.bases[key]; ok {
 		return b
 	}
-	named := foldCandidate(f.facts, chainType(root.Type(), path))
+	named := foldCandidate(chainType(root.Type(), path))
 	if named == nil {
 		f.bases[key] = nil
 		return nil
@@ -479,7 +457,7 @@ func (f *foldScan) composite(cl *ast.CompositeLit) {
 	if len(cl.Elts) == 0 {
 		return
 	}
-	named := foldCandidate(f.facts, f.pass.Info.TypeOf(cl))
+	named := foldCandidate(f.pass.Info.TypeOf(cl))
 	if named == nil {
 		return
 	}
@@ -557,11 +535,9 @@ func (f *foldScan) scan() {
 				}
 			case *ast.SelectorExpr:
 				// Every chain read grants coverage (the source side of a
-				// fold); obligations come only from stores above — except
-				// in save-family functions, where serializing a field IS a
-				// read and every touched base must be exhaustive.
+				// fold); obligations come only from stores above.
 				if r, p, ok := foldChain(f.pass.Info, n); ok && len(p) > 0 {
-					f.touch(r, p, f.readsObligate, n.Pos())
+					f.touch(r, p, false, n.Pos())
 				}
 			case *ast.ReturnStmt:
 				for _, e := range n.Results {
@@ -634,38 +610,9 @@ func fieldDirective(pass *Pass, pos token.Pos, tok string) (Directive, bool) {
 	return Directive{}, false
 }
 
-// typeDirective finds a //redvet:<tok> directive attached to a type
-// declaration (in the GenDecl or TypeSpec doc comment, or on the line
-// above the spec), mirroring funcMarked for types.  Annotate
-// single-type declarations: a directive in the doc comment of a grouped
-// `type (...)` block marks every type in the block.
-func typeDirective(pass *Pass, gd *ast.GenDecl, ts *ast.TypeSpec, tok string) (Directive, bool) {
-	pos := pass.Fset.Position(ts.Pos())
-	from := pos.Line - 1
-	if gd.Doc != nil {
-		if l := pass.Fset.Position(gd.Doc.Pos()).Line; l < from {
-			from = l
-		}
-	}
-	if ts.Doc != nil {
-		if l := pass.Fset.Position(ts.Doc.Pos()).Line; l < from {
-			from = l
-		}
-	}
-	lines := pass.directives[pos.Filename]
-	for line := from; line <= pos.Line; line++ {
-		for _, d := range lines[line] {
-			if d.Tok == tok {
-				return d, true
-			}
-		}
-	}
-	return Directive{}, false
-}
-
-// statefoldFacts exports the annotation vocabulary (state types,
-// foldexempt fields) and per-function FoldCovers, iterating the package
-// to a fixpoint so helper order doesn't matter.
+// statefoldFacts exports the foldexempt field annotations and
+// per-function FoldCovers, iterating the package to a fixpoint so
+// helper order doesn't matter.
 func statefoldFacts(pass *Pass) {
 	facts := pass.EnsureFacts()
 	for _, file := range pass.Files {
@@ -678,9 +625,6 @@ func statefoldFacts(pass *Pass) {
 				ts, ok := spec.(*ast.TypeSpec)
 				if !ok {
 					continue
-				}
-				if dir, ok := typeDirective(pass, gd, ts, "state"); ok {
-					facts.MarkState(pass.Pkg.Path(), ts.Name.Name, dir.Just)
 				}
 				st, ok := ts.Type.(*ast.StructType)
 				if !ok {

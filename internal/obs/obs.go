@@ -54,28 +54,7 @@ type Registry struct {
 	probes []probe
 	index  map[string]int
 	sealed bool
-
-	// Derived-gauge baselines, owned by the registry (in registration
-	// order per kind) so the checkpoint path can serialize them — a
-	// closure-local baseline would be unreachable and a resumed run's
-	// first epoch rates would silently diverge.
-	ifaceBase []*ifaceBaseline
-	cacheBase []*cacheBaseline
-	ratioBase []*ratioBaseline
 }
-
-// ifaceBaseline carries RegisterInterface's previous-sample snapshots.
-type ifaceBaseline struct {
-	util      stats.Interface
-	utilCycle int64
-	row       stats.Interface
-}
-
-// cacheBaseline carries RegisterCache's previous-sample snapshot.
-type cacheBaseline struct{ prev stats.CacheStats }
-
-// ratioBaseline carries Ratio's previous cumulative readings.
-type ratioBaseline struct{ pn, pd int64 }
 
 func (r *Registry) add(p probe) {
 	if r.sealed {
@@ -192,11 +171,6 @@ func (r *Registry) CounterCell(name string) *Val {
 // between consecutive samples: at each sample it computes the increase
 // of both cumulative readings since the previous sample and reports
 // their quotient (0 while the denominator does not move).
-//
-// The baseline lives in the closure, invisible to the checkpoint path —
-// production probes must use Registry.Ratio instead, which owns the
-// baseline in a serializable registry cell.  RatioOf remains for tests
-// and ad-hoc tooling that never checkpoint.
 func RatioOf(num, den func() int64) func() float64 {
 	var pn, pd int64
 	return func() float64 {
@@ -210,22 +184,10 @@ func RatioOf(num, den func() int64) func() float64 {
 	}
 }
 
-// Ratio registers a float64 gauge reading the interval ratio num/den
-// between consecutive samples, with the baseline held in a
-// registry-owned (checkpointable) cell.  This is the building block for
+// Ratio registers a RatioOf(num, den) gauge: the building block for
 // per-epoch hit and piggyback rates.
 func (r *Registry) Ratio(name string, num, den func() int64) {
-	b := &ratioBaseline{}
-	r.ratioBase = append(r.ratioBase, b)
-	r.GaugeF(name, func() float64 {
-		n, d := num(), den()
-		dn, dd := n-b.pn, d-b.pd
-		b.pn, b.pd = n, d
-		if dd == 0 {
-			return 0
-		}
-		return float64(dn) / float64(dd)
-	})
+	r.GaugeF(name, RatioOf(num, den))
 }
 
 // RegisterInterface registers the standard probe set for one memory
@@ -240,18 +202,18 @@ func RegisterInterface(r *Registry, prefix string, i *stats.Interface, now func(
 	r.Counter(prefix+".requests", func() int64 { return i.Requests })
 	r.Counter(prefix+".activates", func() int64 { return i.Activates })
 
-	b := &ifaceBaseline{util: i.Snapshot(), row: i.Snapshot()}
-	r.ifaceBase = append(r.ifaceBase, b)
+	util, utilCycle := i.Snapshot(), int64(0)
 	r.GaugeF(prefix+".bandwidth_util", func() float64 {
-		d := i.Delta(b.util)
+		d := i.Delta(util)
 		t := now()
-		elapsed := t - b.utilCycle
-		b.util, b.utilCycle = i.Snapshot(), t
+		elapsed := t - utilCycle
+		util, utilCycle = i.Snapshot(), t
 		return d.BandwidthUtil(elapsed)
 	})
+	row := i.Snapshot()
 	r.GaugeF(prefix+".row_hit_rate", func() float64 {
-		d := i.Delta(b.row)
-		b.row = i.Snapshot()
+		d := i.Delta(row)
+		row = i.Snapshot()
 		return d.RowHitRate()
 	})
 }
@@ -261,11 +223,10 @@ func RegisterInterface(r *Registry, prefix string, i *stats.Interface, now func(
 func RegisterCache(r *Registry, prefix string, c *stats.CacheStats) {
 	r.Counter(prefix+".hits", func() int64 { return c.Hits })
 	r.Counter(prefix+".misses", func() int64 { return c.Misses })
-	b := &cacheBaseline{prev: c.Snapshot()}
-	r.cacheBase = append(r.cacheBase, b)
+	prev := c.Snapshot()
 	r.GaugeF(prefix+".hit_rate", func() float64 {
-		d := c.Delta(b.prev)
-		b.prev = c.Snapshot()
+		d := c.Delta(prev)
+		prev = c.Snapshot()
 		return d.HitRate()
 	})
 }

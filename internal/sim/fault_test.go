@@ -9,6 +9,7 @@ import (
 	"redcache/internal/dram"
 	"redcache/internal/hbm"
 	"redcache/internal/obs"
+	"redcache/internal/trace"
 	"redcache/internal/workloads"
 )
 
@@ -110,29 +111,57 @@ func TestFaultAccountingInvariants(t *testing.T) {
 }
 
 // TestInvariantCheckerDoesNotPerturb: a clean run with the checker on
-// must report the exact counters of a run without it.
+// must report the exact counters of a run without it.  HIST on Alloy at
+// small scale (nearly every miss is an HBM fill write) runs the
+// FR-FCFS row-index invariants against deep HBM queues end to end; the
+// case asserts some sweep actually saw one.
 func TestInvariantCheckerDoesNotPerturb(t *testing.T) {
-	cfg := config.Tiny()
-	tr := workloads.LU(cfg.CPU.Cores, workloads.Tiny, 3)
-	plain, err := Run(cfg, hbm.ArchRedCache, tr, nil)
-	if err != nil {
-		t.Fatal(err)
+	tiny, small := config.Tiny(), config.Default()
+	cases := []struct {
+		name      string
+		cfg       *config.System
+		tr        *trace.Trace
+		arch      hbm.Arch
+		minQueued int // deepest HBM queue some sweep must have checked
+	}{
+		{"LU_RedCache_tiny", tiny, workloads.LU(tiny.CPU.Cores, workloads.Tiny, 3), hbm.ArchRedCache, 0},
+		{"HIST_Alloy_small", small, workloads.HIST(small.CPU.Cores, workloads.Small, 1), hbm.ArchAlloy, 2000},
 	}
-	checked, err := Run(cfg, hbm.ArchRedCache, tr, &Options{InvariantCycles: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cycles != checked.Cycles || plain.Ctl != checked.Ctl ||
-		plain.HBMIface != checked.HBMIface || plain.DDRIface != checked.DDRIface {
-		t.Error("invariant checker perturbed simulation results")
-	}
-	if checked.InvariantChecks == 0 {
-		t.Error("invariant checker reported zero sweeps")
-	}
-	// The checker's own events inflate EventsFired; everything the paper
-	// reports must stay identical.
-	if plain.Instructions != checked.Instructions || plain.L3 != checked.L3 {
-		t.Error("invariant checker perturbed CPU-side results")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := Run(c.cfg, c.arch, c.tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := buildMachine(c.cfg, c.arch, c.tr, &Options{InvariantCycles: 10000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deepest := 0
+			m.invs.checks = append(m.invs.checks, func() error {
+				deepest = max(deepest, m.hbmCtl.TotalQueued())
+				return nil
+			})
+			checked, err := m.complete()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Cycles != checked.Cycles || plain.Ctl != checked.Ctl ||
+				plain.HBMIface != checked.HBMIface || plain.DDRIface != checked.DDRIface {
+				t.Error("invariant checker perturbed simulation results")
+			}
+			if checked.InvariantChecks == 0 {
+				t.Error("invariant checker reported zero sweeps")
+			}
+			// The checker's own events inflate EventsFired; everything the
+			// paper reports must stay identical.
+			if plain.Instructions != checked.Instructions || plain.L3 != checked.L3 {
+				t.Error("invariant checker perturbed CPU-side results")
+			}
+			if deepest < c.minQueued {
+				t.Errorf("deepest HBM queue under a sweep held %d transactions, want >= %d", deepest, c.minQueued)
+			}
+		})
 	}
 }
 

@@ -105,25 +105,13 @@ type Options struct {
 	// telemetry-enabled run produces the same simulation counters as a
 	// plain one.
 	Telemetry *obs.Options
-	// CkptPath, when set, names the checkpoint file for this run.  With
-	// CkptPeriod > 0 the run snapshots its complete machine state there
-	// every period (atomically: temp file + rename), and a failed run
-	// (watchdog trip, invariant violation) writes a non-resumable
-	// diagnostic snapshot to CkptPath+".final".  Checkpoint pauses
-	// happen between events, an observationally free point, so a
-	// checkpointed run's Result, telemetry, and invariant verdicts are
-	// byte-identical to an uncheckpointed run's.
-	CkptPath string
-	// CkptPeriod is the snapshot cadence in cycles; 0 disables periodic
-	// snapshots (CkptPath then only receives diagnostic snapshots).
-	CkptPeriod int64
 }
 
 // machine is one fully wired simulated system: the engine, both
-// channel models, the DRAM-cache controller,
-// the CPU complex, and the observers.  Construction (buildMachine) is
-// separated from execution (complete) so a resumed run can overwrite
-// the freshly built state with a checkpoint before running.
+// channel models, the DRAM-cache controller, the CPU complex, and the
+// observers.  Construction (buildMachine) is separated from execution
+// (complete) so only the run itself sits under the panic recovery that
+// turns guard trips into a structured *Error.
 type machine struct {
 	cfg  *config.System
 	arch hbm.Arch
@@ -131,7 +119,6 @@ type machine struct {
 	opts *Options
 
 	eng    *engine.Engine
-	reg    *engine.FnRegistry
 	res    *Result
 	hbmCtl *dram.Controller
 	ddrCtl *dram.Controller
@@ -142,7 +129,7 @@ type machine struct {
 	invs   *invariantRunner
 }
 
-// validateRun checks the inputs shared by Run and Resume.
+// validateRun checks Run's inputs.
 func validateRun(cfg *config.System, t *trace.Trace, opts *Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -158,22 +145,12 @@ func validateRun(cfg *config.System, t *trace.Trace, opts *Options) error {
 			return err
 		}
 	}
-	if opts.CkptPeriod > 0 && opts.CkptPath == "" {
-		return fmt.Errorf("sim: CkptPeriod requires CkptPath")
-	}
-	if opts.CkptPeriod < 0 {
-		return fmt.Errorf("sim: negative CkptPeriod %d", opts.CkptPeriod)
-	}
-	if opts.CkptPath != "" && opts.DDRObserver != nil {
-		return fmt.Errorf("sim: checkpointing cannot capture DDRObserver hook state; run without an observer")
-	}
 	return nil
 }
 
 // buildMachine wires a complete machine in the canonical order — the
 // order is part of the determinism contract (telemetry columns, fault
-// streams) and of the checkpoint format (the callback
-// registry keys and the save/load stream both follow it).
+// streams).
 func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options) (*machine, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -181,12 +158,6 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 	m := &machine{cfg: cfg, arch: arch, t: t, opts: opts}
 
 	m.eng = engine.New()
-	// The callback registry is always attached: registration happens at
-	// wire-up and slot/op creation (cold paths), costs the steady-state
-	// hot path nothing, and keeps checkpointed and plain runs on one
-	// code path.
-	m.reg = engine.NewFnRegistry()
-	m.eng.AttachRegistry(m.reg)
 
 	m.res = &Result{Arch: arch, Workload: t.Name}
 	m.res.HBMIface.Name = "WideIO"
@@ -194,10 +165,8 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 
 	if arch != hbm.ArchNoHBM {
 		m.hbmCtl = dram.NewController(m.eng, cfg.HBM, &m.res.HBMIface)
-		m.hbmCtl.RegisterFns(m.reg, 0)
 	}
 	m.ddrCtl = dram.NewController(m.eng, cfg.MainMem, &m.res.DDRIface)
-	m.ddrCtl.RegisterFns(m.reg, 1)
 	if opts.DDRObserver != nil {
 		m.ddrCtl.SetObserver(opts.DDRObserver)
 	}
@@ -207,11 +176,6 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		return nil, err
 	}
 	m.ctl = ctl
-	if rf, ok := ctl.(interface {
-		RegisterFns(*engine.FnRegistry)
-	}); ok {
-		rf.RegisterFns(m.reg)
-	}
 
 	if opts.Faults != nil {
 		// One injector is shared by the cache controller and both channel
@@ -230,7 +194,6 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 	}
 
 	m.cx = cpu.NewComplex(m.eng, cfg, t, submitFunc(func(req *mem.Request) { m.ctl.Submit(req) }))
-	m.cx.RegisterFns(m.reg)
 
 	if opts.Telemetry != nil {
 		tel, err := obs.New(*opts.Telemetry)
@@ -280,20 +243,16 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 }
 
 // complete executes the machine to completion — main run (with the
-// optional watchdog budget and checkpoint cadence), writeback drain,
-// telemetry finish, and result harvest.  Panics from the run loop
-// (watchdog, invariant violations, bugs) surface as a structured
-// *Error; failed runs additionally leave a diagnostic snapshot when a
-// checkpoint path is configured.
+// optional watchdog budget), writeback drain, telemetry finish, and
+// result harvest.  Panics from the run loop (watchdog, invariant
+// violations, bugs) surface as a structured *Error.
 func (m *machine) complete() (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, m.abort(r)
+			res, err = nil, asError(r, m.eng, m.t.Name, m.arch)
 		}
 	}()
-	if err := m.runLoop(); err != nil {
-		return nil, err
-	}
+	m.runLoop()
 	if m.cx.AllDoneAt < 0 {
 		return nil, &Error{Op: "deadlock", Workload: m.t.Name, Arch: m.arch,
 			Cycle: m.eng.Now(), Fired: m.eng.Fired, Pending: m.eng.Pending(),
@@ -335,13 +294,9 @@ func (m *machine) complete() (res *Result, err error) {
 }
 
 // runLoop executes the main run: watchdog-bounded when MaxCycles is
-// set, snapshotting every CkptPeriod cycles when the checkpoint cadence
-// is on, and always finishing with an unbounded run so trailing
-// periodic ticks auto-stop at the same cycle as an unbounded run.
-func (m *machine) runLoop() error {
-	if m.opts.CkptPeriod > 0 {
-		return m.runCheckpointed()
-	}
+// set, and always finishing with an unbounded run so trailing periodic
+// ticks auto-stop at the same cycle as an unbounded run.
+func (m *machine) runLoop() {
 	if budget := m.opts.MaxCycles; budget > 0 {
 		// Cycle-exact watchdog.  The budget is enforced by the bounded
 		// run itself rather than a queued sentinel event: an event
@@ -356,51 +311,6 @@ func (m *machine) runLoop() error {
 		// fire keeps the clock identical to an unbounded run.
 	}
 	m.eng.Run()
-	return nil
-}
-
-// runCheckpointed is runLoop with the snapshot cadence: run to the next
-// checkpoint cycle, snapshot, repeat.  The pause points are
-// observationally free — RunWithin leaves the heap untouched between
-// events — so the event order is byte-identical to an uninterrupted
-// run.  Once the next checkpoint would reach the watchdog budget, the
-// cadence stops and the budget-bounded run takes over with its exact
-// plain-path semantics.
-func (m *machine) runCheckpointed() error {
-	budget := m.opts.MaxCycles
-	period := m.opts.CkptPeriod
-	next := m.eng.Now() + period
-	for {
-		if budget > 0 && next >= budget {
-			if !m.eng.RunWithin(budget) && m.cx.AllDoneAt < 0 {
-				panic(watchdogAbort{budget: budget})
-			}
-			break
-		}
-		if m.eng.RunWithin(next) {
-			break
-		}
-		if err := m.checkpoint(""); err != nil {
-			return err
-		}
-		next += period
-	}
-	m.eng.Run()
-	return nil
-}
-
-// abort converts a recovered panic into the structured *Error and, for
-// guard trips with a configured checkpoint path, writes a best-effort
-// diagnostic snapshot (non-resumable: its manifest carries the abort
-// op) for post-mortem inspection.
-func (m *machine) abort(r any) *Error {
-	e := asError(r, m.eng, m.t.Name, m.arch)
-	if m.opts.CkptPath != "" && (e.Op == "watchdog" || e.Op == "invariant") {
-		// Best effort: the state that tripped an invariant is corrupt by
-		// definition — failures here must not mask the primary error.
-		_ = m.checkpoint(e.Op)
-	}
-	return e
 }
 
 // Run simulates the trace on the given architecture and returns the
