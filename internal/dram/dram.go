@@ -106,11 +106,9 @@ type channel struct {
 	lastDataEnd int64
 	nextRefresh int64
 	refreshEnd  int64
-	// Wake bookkeeping: at most one *live* decision event; an event only
-	// runs when its timestamp matches pendingAt (earlier wakes supersede
-	// later ones, whose stale events are dropped on firing).
-	hasPending bool
-	pendingAt  int64
+	// wake is the channel's decision timer: at most one decision is
+	// pending, and an earlier wake re-arms it (see Controller.wake).
+	wake *engine.Timer
 	// pool recycles Txn structs channel-locally; see getTxn.
 	pool []*Txn
 }
@@ -143,11 +141,6 @@ type Controller struct {
 	// inj injects row-activation failures and transient bus errors into
 	// the command schedule; nil (the default) costs one check per site.
 	inj *fault.Injector
-
-	// wakeFn is the single scheduling-decision callback shared by all
-	// channels; the channel index travels as the event's fixed argument,
-	// so a wake never allocates a closure.
-	wakeFn func(arg uint64)
 
 	// MaxQueue bounds the per-channel transaction queue; Enqueue panics
 	// beyond it to catch upstream flow-control bugs.
@@ -194,25 +187,14 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 				rk.banks[b].openRow = -1
 			}
 		}
+		chIdx := i
+		ch.wake = eng.NewTimer(func() { c.trySchedule(chIdx) })
 		if cfg.Timing.TREFI > 0 {
 			// Stagger refresh across channels to avoid artificial lockstep.
 			ch.nextRefresh = cfg.Timing.TREFI * int64(i+1) / int64(g.Channels)
 		} else {
 			ch.nextRefresh = 1 << 62
 		}
-	}
-	c.wakeFn = func(arg uint64) {
-		chIdx := int(arg)
-		ch := &c.chans[chIdx]
-		// Only the live decision event may run: its timestamp matches
-		// pendingAt, and the engine guarantees Now() equals the firing
-		// time, so this is the same stale-event check the closure-based
-		// implementation captured per event.
-		if !ch.hasPending || ch.pendingAt != c.eng.Now() {
-			return // superseded
-		}
-		ch.hasPending = false
-		c.trySchedule(chIdx)
 	}
 	return c
 }
@@ -421,22 +403,23 @@ func (c *Controller) kick(chIdx int) {
 }
 
 // wake arranges for a scheduling decision on the channel at cycle `at`.
-// At most one decision event is live: an earlier wake supersedes a later
-// pending one (the stale event is dropped when it fires), and a wake at
-// or after the pending time is a no-op.
+// At most one decision is pending: an earlier wake re-arms the
+// channel's timer, superseding the later one, and a wake at or after
+// the pending time is a no-op.  A superseded wake leaves nothing
+// behind in the event queue; the timer only remembers its sequence
+// number, so a later re-arm at that same cycle still decides at the
+// superseded wake's tie position (see engine.Timer).
 //
 //redvet:hotpath
 func (c *Controller) wake(chIdx int, at int64) {
-	ch := &c.chans[chIdx]
+	t := c.chans[chIdx].wake
 	if now := c.eng.Now(); at < now {
 		at = now
 	}
-	if ch.hasPending && ch.pendingAt <= at {
+	if t.Armed() && t.At() <= at {
 		return
 	}
-	ch.hasPending = true
-	ch.pendingAt = at
-	c.eng.ScheduleArg(at, c.wakeFn, uint64(chIdx))
+	t.Arm(at)
 }
 
 // readyAt returns the cycle at which t's *first* DRAM command (precharge

@@ -29,23 +29,44 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScheduleVariantsZeroAlloc pins the fixed-argument and timed
-// variants at 0 allocs/op — the whole point of their existence.
+// TestScheduleVariantsZeroAlloc pins the timed variant and timer
+// re-arming at 0 allocs/op — the whole point of their existence.
 func TestScheduleVariantsZeroAlloc(t *testing.T) {
 	e := New()
 	timed := func(int64) {}
-	arged := func(uint64) {}
+	tm := e.NewTimer(func() {})
 	for i := 0; i < 1024; i++ {
-		e.ScheduleArg(int64(i), arged, uint64(i))
+		e.ScheduleTimed(int64(i), timed)
+		tm.Arm(int64(i))
 	}
 	e.Run()
 	if allocs := testing.AllocsPerRun(200, func() {
 		e.ScheduleTimed(e.Now()+1, timed)
-		e.ScheduleArg(e.Now()+1, arged, 7)
+		tm.Arm(e.Now() + 1)
 		e.Step()
 		e.Step()
 	}); allocs != 0 {
-		t.Fatalf("ScheduleTimed/ScheduleArg+Step allocated %.1f allocs/op, want 0", allocs)
+		t.Fatalf("ScheduleTimed/Timer.Arm+Step allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestTimerRearmZeroAlloc pins a channel-like wake at 0 allocs/op
+// once the arm list is warm: a deferred decision arms far out, an
+// arrival supersedes it with an earlier arm, and the timer fires.
+func TestTimerRearmZeroAlloc(t *testing.T) {
+	e := New()
+	tm := e.NewTimer(func() {})
+	wake := func() {
+		now := e.Now()
+		tm.Arm(now + 9)
+		tm.Arm(now + 2)
+		e.Step()
+	}
+	for i := 0; i < 64; i++ {
+		wake()
+	}
+	if allocs := testing.AllocsPerRun(200, wake); allocs != 0 {
+		t.Fatalf("Timer.Arm+fire allocated %.1f allocs/op, want 0", allocs)
 	}
 }
 

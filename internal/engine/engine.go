@@ -8,36 +8,63 @@
 //
 // The event queue is a value-typed 4-ary min-heap over Event structs:
 // no per-event heap allocation, no interface boxing, and the sift
-// loops are written out by hand so the comparator inlines.  On the
-// steady-state path (queue capacity warmed up, callbacks created once)
-// Schedule followed by Step performs zero allocations — a contract
-// pinned by AllocsPerRun guard tests and relied on by every hot path
-// in internal/dram, internal/cpu, and internal/hbm.
+// loops are written out by hand so the comparator inlines.  Next to
+// the heap sit a few re-armable Timers (one per DRAM channel), whose
+// superseded arms never enter the heap; every run loop fires whichever
+// of the heap top and the earliest armed timer comes first by
+// (at, seq).  On the steady-state path (queue capacity warmed up,
+// callbacks created once) Schedule followed by Step performs zero
+// allocations — a contract pinned by AllocsPerRun guard tests and
+// relied on by every hot path in internal/dram, internal/cpu, and
+// internal/hbm.
 package engine
 
-// Event is a callback bound to a firing time.  Exactly one of the
-// three callback fields is set, matching the scheduling variant used:
-// fn (Schedule), fnTimed (ScheduleTimed), or fnArg+arg (ScheduleArg).
-// Events are stored by value inside the heap slice.
+// Event is a callback bound to a firing time.  Exactly one of the two
+// callback fields is set, matching the scheduling variant used: fn
+// (Schedule) or fnTimed (ScheduleTimed).  Events are stored by value
+// inside the heap slice.
 type Event struct {
 	at      int64
 	seq     uint64
 	fn      func()
 	fnTimed func(now int64)
-	fnArg   func(arg uint64)
-	arg     uint64
 }
 
 // Engine is a discrete-event scheduler.  The zero value is ready to use.
 type Engine struct {
 	now int64
 	seq uint64
+	// cur is the seq of the event or timer arm being fired; together
+	// with now it marks how far the (at, seq) order has been consumed.
+	// Clock jumps (RunUntil, drained runs) set it to seq: everything
+	// allocated so far at or before now counts as passed.
+	cur uint64
 	// events is a 4-ary min-heap ordered by (at, seq).  4-ary beats
 	// binary here: sift-down does 2x fewer levels (and therefore 2x
 	// fewer cache-missing element moves) at the cost of up to three
-	// extra comparisons per level, which stay within one cache line of
-	// 48 B events.
+	// extra comparisons per level, which stay within two cache lines
+	// of 32 B events.
 	events []Event
+	// timers holds every Timer ever created on this engine and tpos
+	// their firing positions (disarmed when not armed), flat so the
+	// earliest-timer scan stays in one or two cache lines; armed counts
+	// the armed ones.  next caches the earliest armed timer and
+	// nextPos its position; both are recomputed lazily when rescan is
+	// set.
+	timers  []*Timer
+	tpos    []timerArm
+	armed   int
+	next    *Timer
+	nextPos timerArm
+	rescan  bool
+	// lastAt, lastSeq is the latest (at, seq) any Timer.Arm has
+	// taken.  While it lies ahead of (now, cur) a superseded arm is
+	// still outstanding: its heap event, in the one-event-per-arm
+	// formulation timers replace, would still be queued.  Periodic
+	// auto-stop and the end-of-run clock honour it, so dropping stale
+	// wakes changes no observable time.
+	lastAt  int64
+	lastSeq uint64
 	// Fired counts events executed; useful for run-away detection in tests.
 	Fired uint64
 	// Limit, when nonzero, aborts Run after this many events.
@@ -148,14 +175,11 @@ func (e *Engine) pop() Event {
 //
 //redvet:hotpath
 func (e *Engine) fire(ev *Event) {
-	switch {
-	case ev.fn != nil:
+	if ev.fn != nil {
 		ev.fn()
-	case ev.fnTimed != nil:
-		ev.fnTimed(ev.at)
-	default:
-		ev.fnArg(ev.arg)
+		return
 	}
+	ev.fnTimed(ev.at)
 }
 
 // checkTime panics on scheduling in the past, which would silently
@@ -169,8 +193,8 @@ func (e *Engine) checkTime(at int64) {
 }
 
 // nextSeq validates the firing time and allocates the tie-break
-// sequence number — the prologue shared by every scheduling variant,
-// hoisted so Schedule/ScheduleTimed/ScheduleArg stay three trivially
+// sequence number — the prologue shared by Schedule, ScheduleTimed and
+// Timer.Arm, hoisted so the two Schedule variants stay trivially
 // inlinable wrappers around push.
 //
 //redvet:hotpath
@@ -201,46 +225,83 @@ func (e *Engine) ScheduleTimed(at int64, fn func(now int64)) {
 	e.push(Event{at: at, seq: e.nextSeq(at), fnTimed: fn})
 }
 
-// ScheduleArg enqueues fn to run at cycle `at` with a fixed argument.
-// Components that wake many sub-units (e.g. one DRAM channel out of
-// eight) register a single func once and encode the sub-unit index in
-// arg, so the per-wake closure allocation disappears.
-//
-//redvet:hotpath
-func (e *Engine) ScheduleArg(at int64, fn func(arg uint64), arg uint64) {
-	e.push(Event{at: at, seq: e.nextSeq(at), fnArg: fn, arg: arg})
-}
-
 // After enqueues fn to run delay cycles from now.
 //
 //redvet:hotpath
 func (e *Engine) After(delay int64, fn func()) { e.Schedule(e.now+delay, fn) }
 
-// Pending reports the number of queued events.
+// Pending reports the number of queued events plus armed timers.
 //
 //redvet:hotpath
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.events) + e.armed }
 
-// Step executes the single earliest event and returns true, or returns
-// false when the queue is empty.
+// popNext removes the heap top and advances the clock to it.  A
+// trailing Periodic tick — nothing but ticks queued before this pop,
+// no timer armed and no superseded arm outstanding — fires at the
+// frozen clock instead; the clock still moves to the last superseded
+// arm, whose heap event in the one-event-per-arm formulation would
+// have fired (and advanced it) before the tick.
+//
+//redvet:hotpath
+func (e *Engine) popNext() Event {
+	ev := e.pop()
+	if len(e.events) < e.periodicTicks && !before(ev.at, ev.seq, e.lastAt, e.lastSeq) {
+		e.now = max(e.now, e.lastAt)
+		e.cur = e.seq
+		ev.at = e.now
+	} else {
+		e.now = ev.at
+		e.cur = ev.seq
+	}
+	return ev
+}
+
+// settle moves the clock past every outstanding superseded arm once
+// no real work remains, exactly where the drained one-event-per-arm
+// queue would have left it.
+//
+//redvet:hotpath
+func (e *Engine) settle() {
+	e.now = max(e.now, e.lastAt)
+	e.cur = e.seq
+}
+
+// checkLimit panics once Limit events have fired.
+//
+//redvet:hotpath
+func (e *Engine) checkLimit() {
+	if e.Limit != 0 && e.Fired >= e.Limit {
+		panic("engine: event limit exceeded (likely a scheduling loop)")
+	}
+}
+
+// Step executes the single earliest event or timer and returns true,
+// or returns false when nothing is queued or armed.
 //
 //redvet:hotpath
 func (e *Engine) Step() bool {
+	if t := e.dueTimer(); t != nil {
+		e.fireTimer(t)
+		return true
+	}
 	if len(e.events) == 0 {
+		e.settle()
 		return false
 	}
 	ev := e.pop()
 	e.now = ev.at
+	e.cur = ev.seq
 	e.Fired++
 	e.fire(&ev)
 	return true
 }
 
-// Run executes events until the queue drains (or Limit is hit) and
-// returns the final simulation time.  The pop loop is inlined rather
-// than delegating to Step, and the Limit check fires *before* an event
-// executes, so the panic triggers at exactly Limit fired events (a run
-// that completes in exactly Limit events does not panic).
+// Run executes events and timers until nothing is queued or armed (or
+// Limit is hit) and returns the final simulation time.  The fire loop
+// is inlined rather than delegating to Step, and the Limit check fires
+// *before* an event executes, so the panic triggers at exactly Limit
+// fired events (a run that completes in exactly Limit events does not
+// panic).
 //
 // Once only Periodic ticks remain queued, the clock freezes: each
 // trailing tick fires observing the time of the last real event rather
@@ -252,69 +313,89 @@ func (e *Engine) Step() bool {
 //
 //redvet:hotpath
 func (e *Engine) Run() int64 {
-	for len(e.events) > 0 {
-		if e.Limit != 0 && e.Fired >= e.Limit {
-			panic("engine: event limit exceeded (likely a scheduling loop)")
+	for {
+		if t := e.dueTimer(); t != nil {
+			e.checkLimit()
+			e.fireTimer(t)
+			continue
 		}
-		ev := e.pop()
-		if len(e.events) < e.periodicTicks {
-			// This pop took a trailing periodic tick (pre-pop the queue
-			// held nothing but ticks): fire it at the frozen clock.
-			ev.at = e.now
-		} else {
-			e.now = ev.at
+		if len(e.events) == 0 {
+			break
 		}
+		e.checkLimit()
+		ev := e.popNext()
 		e.Fired++
 		e.fire(&ev)
 	}
+	e.settle()
 	return e.now
 }
 
-// RunWithin executes events until the queue drains or the earliest
-// queued event would fire after deadline, reporting whether the queue
-// drained.  Unlike RunUntil the clock is left at the last fired event,
-// never forced to the deadline — a run that finishes inside its budget
-// is indistinguishable from an unbounded Run, which is what makes a
-// generous watchdog budget observationally free.  Limit applies as in
-// Run: it is the backstop for same-cycle scheduling loops, which never
-// advance past the deadline on their own.
+// RunWithin executes events and timers until nothing is queued or
+// armed, or the earliest one would fire after deadline, reporting
+// whether the run drained.  Unlike RunUntil the clock is left at the
+// last fired event, never forced to the deadline — a run that finishes
+// inside its budget is indistinguishable from an unbounded Run, which
+// is what makes a generous watchdog budget observationally free.
+// Limit applies as in Run: it is the backstop for same-cycle
+// scheduling loops, which never advance past the deadline on their
+// own.
 //
 //redvet:hotpath
 func (e *Engine) RunWithin(deadline int64) bool {
-	for len(e.events) > 0 {
+	for {
+		if t := e.dueTimer(); t != nil {
+			if e.nextPos.at > deadline {
+				return e.stopWithin(deadline)
+			}
+			e.checkLimit()
+			e.fireTimer(t)
+			continue
+		}
+		if len(e.events) == 0 {
+			break
+		}
 		if e.events[0].at > deadline {
-			return false
+			return e.stopWithin(deadline)
 		}
-		if e.Limit != 0 && e.Fired >= e.Limit {
-			panic("engine: event limit exceeded (likely a scheduling loop)")
-		}
-		ev := e.pop()
-		if len(e.events) < e.periodicTicks {
-			// Trailing periodic tick: frozen clock, as in Run.
-			ev.at = e.now
-		} else {
-			e.now = ev.at
-		}
+		e.checkLimit()
+		ev := e.popNext()
 		e.Fired++
 		e.fire(&ev)
 	}
+	if e.lastAt > deadline {
+		// A superseded arm past the deadline still counts as queued.
+		return e.stopWithin(deadline)
+	}
+	e.settle()
 	return true
 }
 
-// RunUntil executes events with firing time <= deadline, advancing the
-// clock to the deadline if the queue drains earlier.  Like Run, the pop
-// loop is inlined: the heap head is read once per iteration instead of
-// re-checking emptiness and re-reading it through Step.
+// RunUntil executes events and timers with firing time <= deadline,
+// advancing the clock to the deadline if nothing earlier remains.
+// Like Run, the fire loop is inlined.
 //
 //redvet:hotpath
 func (e *Engine) RunUntil(deadline int64) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
+	for {
+		if t := e.dueTimer(); t != nil {
+			if e.nextPos.at > deadline {
+				break
+			}
+			e.fireTimer(t)
+			continue
+		}
+		if len(e.events) == 0 || e.events[0].at > deadline {
+			break
+		}
 		ev := e.pop()
 		e.now = ev.at
+		e.cur = ev.seq
 		e.Fired++
 		e.fire(&ev)
 	}
-	if e.now < deadline {
+	if e.now <= deadline {
 		e.now = deadline
+		e.cur = e.seq
 	}
 }

@@ -106,18 +106,18 @@ func TestPopClearsVacatedSlot(t *testing.T) {
 	e.Schedule(2, func() {})
 	e.Step()
 	tail := e.events[:2][1] // vacated slot within capacity
-	if tail.fn != nil || tail.fnTimed != nil || tail.fnArg != nil {
+	if tail.fn != nil || tail.fnTimed != nil {
 		t.Fatal("pop left a stale callback in the vacated heap slot")
 	}
 }
 
-// TestScheduleVariants checks ScheduleTimed and ScheduleArg fire with
+// TestScheduleVariants checks that ScheduleTimed and timers fire with
 // the right values and honor the shared (at, seq) ordering.
 func TestScheduleVariants(t *testing.T) {
 	e := New()
 	var got []int64
 	e.ScheduleTimed(7, func(now int64) { got = append(got, now) })
-	e.ScheduleArg(7, func(arg uint64) { got = append(got, int64(arg)) }, 42)
+	e.NewTimer(func() { got = append(got, 42) }).Arm(7)
 	e.Schedule(7, func() { got = append(got, e.Now()) })
 	e.ScheduleTimed(3, func(now int64) { got = append(got, -now) })
 	if end := e.Run(); end != 7 {
@@ -135,11 +135,11 @@ func TestScheduleVariants(t *testing.T) {
 }
 
 // TestScheduleVariantsPastPanics pins the past-scheduling panic on the
-// new variants too.
+// timed variant and on timer arms too.
 func TestScheduleVariantsPastPanics(t *testing.T) {
 	for name, schedule := range map[string]func(*Engine){
 		"ScheduleTimed": func(e *Engine) { e.ScheduleTimed(5, func(int64) {}) },
-		"ScheduleArg":   func(e *Engine) { e.ScheduleArg(5, func(uint64) {}, 0) },
+		"Timer.Arm":     func(e *Engine) { e.NewTimer(func() {}).Arm(5) },
 	} {
 		e := New()
 		e.Schedule(10, func() {

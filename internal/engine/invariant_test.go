@@ -46,3 +46,39 @@ func TestCheckHeapDetectsStaleClock(t *testing.T) {
 		t.Fatal("past-scheduled event passed CheckHeap")
 	}
 }
+
+func TestCheckHeapCleanTimers(t *testing.T) {
+	e := New()
+	tm := e.NewTimer(func() {})
+	tm.Arm(40)
+	tm.Arm(12)
+	e.Schedule(5, func() { tm.Arm(40) })
+	for e.Step() {
+		if err := e.CheckHeap(); err != nil {
+			t.Fatalf("cycle %d: %v", e.Now(), err)
+		}
+	}
+}
+
+func TestCheckHeapDetectsTimerCorruption(t *testing.T) {
+	for name, corrupt := range map[string]func(*Engine, *Timer){
+		"armed in the past": func(e *Engine, tm *Timer) { e.now = tm.At() + 1 },
+		"arm seq beyond allocator": func(e *Engine, tm *Timer) {
+			tm.arms[0].seq = e.seq + 3
+		},
+		"position not an arm": func(e *Engine, tm *Timer) { e.tpos[tm.id].seq = e.seq + 1 },
+		"armed count":         func(e *Engine, tm *Timer) { e.armed++ },
+	} {
+		e := New()
+		tm := e.NewTimer(func() {})
+		tm.Arm(30)
+		tm.Arm(20)
+		if err := e.CheckHeap(); err != nil {
+			t.Fatalf("%s: clean timer failed CheckHeap: %v", name, err)
+		}
+		corrupt(e, tm)
+		if err := e.CheckHeap(); err == nil {
+			t.Errorf("%s: corrupted timer passed CheckHeap", name)
+		}
+	}
+}

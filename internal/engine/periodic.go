@@ -45,7 +45,7 @@ func (p *Periodic) run(now int64) {
 		return
 	}
 	p.fn(now)
-	if p.e.Pending() == p.e.periodicTicks {
+	if p.e.onlyTicks() {
 		// Everything still queued is other periodics' ticks: no real
 		// work remains, so stop instead of keeping the run alive.
 		// The remaining periodics reach this same conclusion as they fire.
@@ -63,3 +63,12 @@ func (p *Periodic) Stop() { p.stopped = true }
 // Stopped reports whether the periodic has stopped (explicitly or via
 // queue-drain auto-stop).
 func (p *Periodic) Stopped() bool { return p.stopped }
+
+// onlyTicks reports whether nothing but Periodic ticks is queued: no
+// other event, no armed timer and no outstanding superseded arm (an
+// armed timer's own arm is always outstanding).
+//
+//redvet:hotpath
+func (e *Engine) onlyTicks() bool {
+	return len(e.events) == e.periodicTicks && !before(e.now, e.cur, e.lastAt, e.lastSeq)
+}

@@ -82,8 +82,8 @@ func checkTruncation(pass *Pass, call *ast.CallExpr) {
 }
 
 // checkMagicDelay flags integer literals (other than 0 and 1) inside
-// the time argument of engine.Engine.After and Schedule-family calls
-// (Schedule, ScheduleTimed, ScheduleArg).
+// the time argument of engine.Engine.After, the Schedule family
+// (Schedule, ScheduleTimed) and engine.Timer.Arm.
 func checkMagicDelay(pass *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || len(call.Args) < 1 {
@@ -93,11 +93,21 @@ func checkMagicDelay(pass *Pass, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	if fn.Name() != "After" && !strings.HasPrefix(fn.Name(), "Schedule") {
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
 		return
 	}
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil || !strings.HasSuffix(sig.Recv().Type().String(), "redcache/internal/engine.Engine") {
+	recv := sig.Recv().Type().String()
+	switch {
+	case strings.HasSuffix(recv, "redcache/internal/engine.Engine"):
+		if fn.Name() != "After" && !strings.HasPrefix(fn.Name(), "Schedule") {
+			return
+		}
+	case strings.HasSuffix(recv, "redcache/internal/engine.Timer"):
+		if fn.Name() != "Arm" {
+			return
+		}
+	default:
 		return
 	}
 	ast.Inspect(call.Args[0], func(n ast.Node) bool {

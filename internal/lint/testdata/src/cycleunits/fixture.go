@@ -39,8 +39,8 @@ func magicScheduleTimed(eng *engine.Engine) {
 	eng.ScheduleTimed(eng.Now()+17, func(int64) {}) // want `magic latency literal 17`
 }
 
-func magicScheduleArg(eng *engine.Engine) {
-	eng.ScheduleArg(eng.Now()+33, func(uint64) {}, 0) // want `magic latency literal 33`
+func magicTimerArm(eng *engine.Engine) {
+	eng.NewTimer(func() {}).Arm(eng.Now() + 33) // want `magic latency literal 33`
 }
 
 // good: named latencies, zero delay, and the +1 tie-break cycle.
@@ -49,7 +49,7 @@ func namedDelay(eng *engine.Engine, tCAS int64) {
 	eng.After(0, func() {})
 	eng.Schedule(eng.Now()+1, func() {})
 	eng.ScheduleTimed(eng.Now()+tCAS, func(int64) {})
-	eng.ScheduleArg(eng.Now()+1, func(uint64) {}, 42)
+	eng.NewTimer(func() {}).Arm(eng.Now() + 1)
 }
 
 // good: justified narrowing with a documented bound.

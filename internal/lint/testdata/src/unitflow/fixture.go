@@ -59,3 +59,9 @@ func compare(e *engine.Engine, d time.Duration, cycles int64) {
 		e.Schedule(cycles, nil)
 	}
 }
+
+// timerArm: a re-armable timer's arm cycle is an engine time argument
+// like Schedule's.
+func timerArm(t *engine.Timer, d time.Duration) {
+	t.Arm(int64(d)) // want `nanosecond-domain value int64\(d\) reaches`
+}

@@ -68,11 +68,15 @@ func isTimeType(t types.Type) bool {
 }
 
 // engineSinkArg returns the index of the cycle-valued argument if fn is
-// an engine scheduling entry point, or -1.  All engine sinks take the
+// an engine scheduling entry point (an Engine scheduling method or
+// Timer.Arm), or -1.  All engine sinks take the
 // delay/deadline/period/limit as their first argument.
 func engineSinkArg(fn *types.Func) int {
+	recv := "Engine"
 	switch fn.Name() {
-	case "Schedule", "ScheduleTimed", "ScheduleArg", "SchedulePeriodic", "After", "RunUntil":
+	case "Schedule", "ScheduleTimed", "SchedulePeriodic", "After", "RunUntil":
+	case "Arm":
+		recv = "Timer"
 	default:
 		return -1
 	}
@@ -80,7 +84,7 @@ func engineSinkArg(fn *types.Func) int {
 	if !ok || sig.Recv() == nil {
 		return -1
 	}
-	if !strings.HasSuffix(sig.Recv().Type().String(), "redcache/internal/engine.Engine") {
+	if !strings.HasSuffix(sig.Recv().Type().String(), "redcache/internal/engine."+recv) {
 		return -1
 	}
 	return 0
