@@ -1,13 +1,12 @@
 // Command redvet runs the repository's domain-specific static-analysis
 // suite: the analyzers in internal/lint that machine-check the
 // simulator's determinism, unit and allocation contracts (see
-// DESIGN.md, "Determinism contract & static analysis").  Since v3
-// detsched proves the sim core free of scheduling nondeterminism and
-// fporder pins the iteration order of float reductions.  v4 adds
-// structural proofs: statefold (fold/merge/snapshot/delta/reset
-// functions drop no field of a stats-shaped struct) and wallflow
-// (wall-clock reads never reach deterministic state).  -proofstats
-// reports the discharged obligation counts.
+// DESIGN.md, "Determinism contract & static analysis").  detsched
+// proves the sim core free of scheduling nondeterminism, fporder pins
+// the iteration order of float reductions, noalloc proves
+// //redvet:hotpath functions allocation-free, and nowallclock keeps the
+// "time" package out of every package but the commands.  -proofstats
+// reports the discharged hotpath obligation count.
 //
 // Usage:
 //
@@ -40,7 +39,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	fix := flag.Bool("fix", false, "print suggested fixes under each finding")
 	baselinePath := flag.String("baseline", "redvet.baseline", "baseline file sanctioning legacy findings (\"\" disables; missing file = empty baseline)")
-	factCache := flag.String("factcache", "", "directory for cached per-package analysis facts")
 	proofStats := flag.Bool("proofstats", false, "print discharged proof-obligation counts to stderr after the run")
 	proofStatsOut := flag.String("proofstatsout", "", "also write the proof-obligation counts as JSON to this file")
 	flag.Parse()
@@ -69,15 +67,7 @@ func main() {
 	}
 
 	session := lint.NewSession(pkgs)
-	if *factCache != "" {
-		session.LoadFactCache(*factCache)
-	}
 	diags := session.Run(analyzers)
-	if *factCache != "" {
-		if err := session.SaveFactCache(*factCache); err != nil {
-			fmt.Fprintln(os.Stderr, "redvet: saving fact cache:", err)
-		}
-	}
 	if *proofStats || *proofStatsOut != "" {
 		ps := session.ProofStats()
 		if *proofStats {

@@ -10,7 +10,7 @@ const baselineDoc = `# redvet baseline — sanctioned legacy findings.
 # Each line is one JSON entry; the file may only shrink.
 
 {"analyzer":"noalloc","file":"internal/x/x.go","message":"allocation on hot path f: make allocates","justification":"legacy buffer, tracked in the v2 cleanup"}
-{"analyzer":"unitflow","file":"internal/y/y.go","message":"nanosecond-domain value ns reaches sink","justification":"converted at the call site, analyzer cannot see it"}
+{"analyzer":"cycleunits","file":"internal/y/y.go","message":"truncating conversion int32(ns) narrows an int64 (cycle-valued) quantity","justification":"bounded by the config validator, analyzer cannot see it"}
 `
 
 func TestParseBaseline(t *testing.T) {
@@ -66,8 +66,8 @@ func TestBaselineFilterAndStale(t *testing.T) {
 	if len(kept) != 1 || kept[0].Message != "a brand new finding" {
 		t.Fatalf("kept = %v, want only the new finding", kept)
 	}
-	if len(stale) != 1 || stale[0].Analyzer != "unitflow" {
-		t.Fatalf("stale = %v, want the unmatched unitflow entry", stale)
+	if len(stale) != 1 || stale[0].Analyzer != "cycleunits" {
+		t.Fatalf("stale = %v, want the unmatched cycleunits entry", stale)
 	}
 }
 
@@ -105,42 +105,6 @@ func TestBaselineV3Analyzers(t *testing.T) {
 	}
 	if !staleAnalyzers["detsched"] || !staleAnalyzers["fporder"] {
 		t.Fatalf("stale analyzers = %v, want detsched and fporder", staleAnalyzers)
-	}
-}
-
-// TestBaselineV4Analyzers checks the same contract for the v4 proof
-// analyzers: their entries round-trip through Filter, and entries left
-// behind after the finding is fixed surface as stale.
-func TestBaselineV4Analyzers(t *testing.T) {
-	doc := `{"analyzer":"statefold","file":"internal/dram/dram.go","message":"fold-family function foldTotals drops field Interface.Requests of base c.iface: fold, merge or reset it, or annotate the field //redvet:foldexempt with a justification","justification":"transitional, fold line lands with the stats rewrite"}
-{"analyzer":"statefold","file":"internal/stats/stats.go","message":"delta-family function Delta drops field Interface.Activates of base Interface literal: fold, merge or reset it, or annotate the field //redvet:foldexempt with a justification","justification":"delta line lands with the stats rewrite"}
-{"analyzer":"wallflow","file":"cmd/redsim/main.go","message":"wall-clock-derived value stamp reaches (*redcache/internal/engine.Engine).RunUntil (an engine schedule argument); wall time may only flow to stderr reports and benchmark files, never into deterministic state or output","justification":"dead code path, removed with the report rewrite"}
-`
-	b, err := ParseBaseline([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	ds := []Diagnostic{
-		diag("statefold", "/repo/internal/dram/dram.go",
-			"fold-family function foldTotals drops field Interface.Requests of base c.iface: fold, merge or reset it, or annotate the field //redvet:foldexempt with a justification"),
-		diag("wallflow", "/repo/internal/hbm/red.go", "a brand new v4 finding"),
-	}
-	kept, stale := b.Filter("/repo", ds)
-	if len(kept) != 1 || kept[0].Message != "a brand new v4 finding" {
-		t.Fatalf("kept = %v, want only the unsanctioned wallflow finding", kept)
-	}
-	if len(stale) != 2 {
-		t.Fatalf("stale = %v, want the fixed statefold delta and wallflow entries", stale)
-	}
-	staleAnalyzers := map[string]bool{}
-	for _, s := range stale {
-		staleAnalyzers[s.Analyzer] = true
-	}
-	if !staleAnalyzers["statefold"] || !staleAnalyzers["wallflow"] {
-		t.Fatalf("stale analyzers = %v, want statefold and wallflow", staleAnalyzers)
 	}
 }
 

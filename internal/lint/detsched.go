@@ -295,7 +295,7 @@ func detschedFacts(pass *Pass) {
 			}
 		}
 		if reason == "" {
-			continue // keep all-clean facts implicit, like unitflow
+			continue // keep all-clean facts implicit
 		}
 		facts.EnsureFunc(fn).Nondet = reason
 	}

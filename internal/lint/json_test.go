@@ -50,12 +50,8 @@ func goldenJSON(t *testing.T, a *Analyzer, fixture string) {
 }
 
 func TestGoldenJSONNoAlloc(t *testing.T)  { goldenJSON(t, NoAlloc, "noalloc") }
-func TestGoldenJSONUnitFlow(t *testing.T) { goldenJSON(t, UnitFlow, "unitflow") }
 func TestGoldenJSONDetSched(t *testing.T) { goldenJSON(t, DetSched, "detsched") }
 func TestGoldenJSONFPOrder(t *testing.T)  { goldenJSON(t, FPOrder, "fporder") }
-
-func TestGoldenJSONStateFold(t *testing.T) { goldenJSON(t, StateFold, "statefold") }
-func TestGoldenJSONWallFlow(t *testing.T)  { goldenJSON(t, WallFlow, "wallflow") }
 
 // TestWriteJSONEmpty pins the no-findings rendering: a bare empty
 // array, so CI consumers can parse it unconditionally.

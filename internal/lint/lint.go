@@ -1,10 +1,12 @@
 // Package lint is a self-contained static-analysis framework plus the
 // redvet analyzers that machine-check this repository's simulation
 // invariants: deterministic iteration (detmaprange), no wall-clock or
-// unseeded randomness in simulation code (nowallclock), cycle-typed
-// time flow (cycleunits), component-owned statistics (statspath),
-// static zero-allocation proofs for annotated hot paths (noalloc), and
-// interprocedural nanosecond-taint tracking (unitflow).
+// unseeded randomness in simulation code and no "time" import outside
+// the command packages (nowallclock), cycle-typed time flow
+// (cycleunits), component-owned statistics (statspath), static
+// zero-allocation proofs for annotated hot paths (noalloc),
+// scheduling determinism of the sim core (detsched) and the iteration
+// order of float reductions (fporder).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis but
 // is built only on the standard library (go/ast, go/types and the gc
@@ -13,16 +15,16 @@
 //
 // # Interprocedural facts
 //
-// Since v2 the suite is fact-based: packages are analyzed in dependency
-// order (in-module dependencies of the requested patterns included), and
+// The suite is fact-based: packages are analyzed in dependency order
+// (in-module dependencies of the requested patterns included), and
 // analyzers with a Facts phase export per-function facts — "this
-// function is allocation-free", "this parameter flows into an engine
-// scheduling sink" — into a shared FactStore keyed by the function's
+// function is allocation-free", "this function is scheduling-
+// nondeterministic", "this parameter is reduced into a float
+// accumulator" — into a shared FactStore keyed by the function's
 // fully-qualified name.  Dependent packages consume those facts when
 // they are analyzed, so a property can be tracked across any number of
-// call hops and package boundaries.  Facts serialize to JSON alongside
-// the loader's export data (see FactStore.ExportPackage), which lets the
-// driver cache them between runs.
+// call hops and package boundaries.  Facts live for one run; they are
+// recomputed from source every time.
 //
 // # Directives
 //
@@ -32,10 +34,10 @@
 //
 // on the flagged line or the line above suppresses the diagnostic.  The
 // directive token is analyzer-specific (ordered, wallclock, units,
-// statshook, alloc, unitflow, detsafe, fporder, foldexempt, wallflow)
-// so a justification for one invariant never silences another.  A
-// suppression without a non-empty justification is itself a finding
-// (the directive audit, analyzer name "directive").
+// statshook, alloc, detsafe, fporder) so a justification for one
+// invariant never silences another.  A suppression without a non-empty
+// justification is itself a finding (the directive audit, analyzer
+// name "directive").
 //
 // Further tokens are contract markers rather than suppressions:
 //
@@ -45,10 +47,6 @@
 //	                      amortized warm-up allocation (pool refill,
 //	                      ring growth) and may be called from hotpath
 //	                      functions; requires a justification
-//	//redvet:foldexempt — the struct field below is deliberately outside
-//	                      the statefold fold-exhaustiveness proof
-//	                      (identity labels, centrally-counted totals);
-//	                      requires a justification
 package lint
 
 import (
@@ -106,9 +104,6 @@ type Pass struct {
 	// standalone outside a Session; fact-based analyzers allocate their
 	// own store in that case via EnsureFacts).
 	Facts *FactStore
-	// Proof accumulates discharged proof-obligation counts (shared with
-	// the Session; never nil for passes built by newPass).
-	Proof *ProofStats
 
 	// directives maps filename -> line -> redvet directives on that line.
 	directives map[string]map[int][]Directive
@@ -211,9 +206,7 @@ type Directive struct {
 // adds obligations instead of removing them.
 var suppressionTokens = map[string]bool{
 	"ordered": true, "wallclock": true, "units": true, "statshook": true,
-	"alloc": true, "unitflow": true, "coldstart": true,
-	"detsafe": true, "fporder": true,
-	"foldexempt": true, "wallflow": true,
+	"alloc": true, "coldstart": true, "detsafe": true, "fporder": true,
 }
 
 // markerTokens are contract markers that add obligations instead of
@@ -259,7 +252,7 @@ func directiveLines(fset *token.FileSet, f *ast.File) map[int][]Directive {
 // Session instead so dependency facts are available; Analyze still works
 // for them but sees only same-package facts.
 func (a *Analyzer) Analyze(pkg *Package) []Diagnostic {
-	pass := newPass(a, pkg, NewFactStore(), &ProofStats{})
+	pass := newPass(a, pkg, NewFactStore())
 	if a.Facts != nil {
 		a.Facts(pass)
 	}
@@ -268,10 +261,7 @@ func (a *Analyzer) Analyze(pkg *Package) []Diagnostic {
 	return pass.Diagnostics
 }
 
-func newPass(a *Analyzer, pkg *Package, facts *FactStore, proof *ProofStats) *Pass {
-	if proof == nil {
-		proof = &ProofStats{}
-	}
+func newPass(a *Analyzer, pkg *Package, facts *FactStore) *Pass {
 	return &Pass{
 		Analyzer:   a,
 		Fset:       pkg.Fset,
@@ -279,7 +269,6 @@ func newPass(a *Analyzer, pkg *Package, facts *FactStore, proof *ProofStats) *Pa
 		Pkg:        pkg.Types,
 		Info:       pkg.Info,
 		Facts:      facts,
-		Proof:      proof,
 		directives: pkg.Directives,
 		generated:  pkg.Generated,
 	}
@@ -315,40 +304,25 @@ type Session struct {
 	// of its Scope policy.  Fixture tests use it: testdata package paths
 	// fall outside the scopes the production driver applies.
 	IgnoreScope bool
-	// Proof accumulates the per-site obligation counts the v4 analyzers
-	// discharge during their Run phases (fold/wallflow).
-	Proof ProofStats
 }
 
 // ProofStats counts statically discharged proof obligations across one
-// session: hotpath annotation obligations carried in the fact store and
-// the per-site proofs the v4 analyzers complete over the target
-// packages (fold-exhaustive fields, wall-clock source confinement).
+// session: the //redvet:hotpath annotations whose allocation-freedom
+// noalloc proves.
 type ProofStats struct {
-	Hotpath  int `json:"hotpath"`
-	Fold     int `json:"fold"`
-	Wallflow int `json:"wallflow"`
+	Hotpath int `json:"hotpath"`
 }
 
 func (ps ProofStats) String() string {
-	return fmt.Sprintf("hotpath=%d fold=%d wallflow=%d", ps.Hotpath, ps.Fold, ps.Wallflow)
+	return fmt.Sprintf("hotpath=%d", ps.Hotpath)
 }
 
-// ProofStats returns the session's proof-obligation counts: annotation
-// obligations summed over every loaded in-module package's facts, plus
-// the per-site counts accumulated by the Run phases.  Call after Run.
+// ProofStats returns the session's proof-obligation counts, summed over
+// every loaded in-module package's facts.  Call after Run.
 func (s *Session) ProofStats() ProofStats {
-	ps := s.Proof
+	var ps ProofStats
 	for _, pkg := range s.Packages {
-		pf := s.Facts.pkgs[pkg.Path]
-		if pf == nil {
-			continue
-		}
-		for _, ff := range pf.Funcs {
-			if ff.Hotpath {
-				ps.Hotpath++
-			}
-		}
+		ps.Hotpath += len(s.Facts.HotpathFuncs(pkg.Path))
 	}
 	return ps
 }
@@ -365,15 +339,10 @@ func (s *Session) Run(analyzers []*Analyzer) []Diagnostic {
 		// Fact phase: every in-module package, scoped or not — a hot
 		// path in scope may call through an out-of-scope helper package.
 		for _, a := range analyzers {
-			if a.Facts == nil {
-				continue
+			if a.Facts != nil {
+				a.Facts(newPass(a, pkg, s.Facts))
 			}
-			if s.Facts.HasPackage(pkg.Path) {
-				continue // imported from the fact cache
-			}
-			a.Facts(newPass(a, pkg, s.Facts, &s.Proof))
 		}
-		s.Facts.sealPackage(pkg.Path)
 	}
 	for _, pkg := range s.Packages {
 		if !pkg.Target {
@@ -383,7 +352,7 @@ func (s *Session) Run(analyzers []*Analyzer) []Diagnostic {
 			if !s.IgnoreScope && !a.Scope(pkg.Path) {
 				continue
 			}
-			pass := newPass(a, pkg, s.Facts, &s.Proof)
+			pass := newPass(a, pkg, s.Facts)
 			a.Run(pass)
 			out = append(out, pass.Diagnostics...)
 		}
@@ -399,13 +368,6 @@ func (s *Session) Run(analyzers []*Analyzer) []Diagnostic {
 // flagged too — a typo like //redvet:orderd would otherwise silently
 // fail to suppress.
 func auditDirectives(pkg *Package) []Diagnostic {
-	known := map[string]bool{}
-	for tok := range markerTokens {
-		known[tok] = true
-	}
-	for tok := range suppressionTokens {
-		known[tok] = true
-	}
 	var out []Diagnostic
 	for file, lines := range pkg.Directives {
 		if pkg.Generated[file] {
@@ -414,11 +376,11 @@ func auditDirectives(pkg *Package) []Diagnostic {
 		for _, ds := range lines {
 			for _, d := range ds {
 				switch {
-				case !known[d.Tok]:
+				case !markerTokens[d.Tok] && !suppressionTokens[d.Tok]:
 					out = append(out, Diagnostic{
 						Analyzer: "directive",
 						Pos:      pkg.Fset.Position(d.Pos),
-						Message:  fmt.Sprintf("unknown redvet directive %q (known: alloc, coldstart, detsafe, foldexempt, fporder, hotpath, ordered, statshook, units, unitflow, wallclock, wallflow)", d.Tok),
+						Message:  fmt.Sprintf("unknown redvet directive %q (known: %s)", d.Tok, knownTokens()),
 					})
 				case suppressionTokens[d.Tok] && d.Just == "":
 					out = append(out, Diagnostic{
@@ -433,12 +395,25 @@ func auditDirectives(pkg *Package) []Diagnostic {
 	return out
 }
 
+// knownTokens lists every directive token, sorted, for the unknown-token
+// message; built from the token maps so the two cannot drift.
+func knownTokens() string {
+	var toks []string
+	for tok := range markerTokens {
+		toks = append(toks, tok)
+	}
+	for tok := range suppressionTokens {
+		toks = append(toks, tok)
+	}
+	sort.Strings(toks)
+	return strings.Join(toks, ", ")
+}
+
 // All returns the full redvet analyzer suite.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DetMapRange, NoWallClock, CycleUnits, StatsPath, NoAlloc, UnitFlow,
+		DetMapRange, NoWallClock, CycleUnits, StatsPath, NoAlloc,
 		DetSched, FPOrder,
-		StateFold, WallFlow,
 	}
 }
 

@@ -97,11 +97,8 @@ func TestNoWallClock(t *testing.T) { runFixture(t, NoWallClock, "nowallclock") }
 func TestCycleUnits(t *testing.T)  { runFixture(t, CycleUnits, "cycleunits") }
 func TestStatsPath(t *testing.T)   { runFixture(t, StatsPath, "statspath") }
 func TestNoAlloc(t *testing.T)     { runFixture(t, NoAlloc, "noalloc") }
-func TestUnitFlow(t *testing.T)    { runFixture(t, UnitFlow, "unitflow") }
 func TestDetSched(t *testing.T)    { runFixture(t, DetSched, "detsched") }
 func TestFPOrder(t *testing.T)     { runFixture(t, FPOrder, "fporder") }
-func TestStateFold(t *testing.T)   { runFixture(t, StateFold, "statefold") }
-func TestWallFlow(t *testing.T)    { runFixture(t, WallFlow, "wallflow") }
 
 // TestRepoIsClean runs the full suite over the whole repository — the
 // same gate CI applies with `go run ./cmd/redvet ./...` — so a lint
@@ -153,6 +150,8 @@ func TestScopes(t *testing.T) {
 		{NoWallClock, "redcache/internal/engine", true},
 		{NoWallClock, "redcache/cmd/redsim", true},
 		{NoWallClock, "redcache/internal/lint", false},
+		{NoWallClock, "redcache/internal/lint/testdata/src/nowallclock", true},
+		{NoWallClock, "redcache/examples/quickstart", true},
 		{CycleUnits, "redcache/internal/dram", true},
 		{CycleUnits, "redcache/internal/config", false},
 		{CycleUnits, "redcache/internal/workloads", false},
@@ -162,9 +161,6 @@ func TestScopes(t *testing.T) {
 		{StatsPath, "redcache/internal/lint", false},
 		{NoAlloc, "redcache/internal/engine", true},
 		{NoAlloc, "redcache/internal/lint", true},
-		{UnitFlow, "redcache/internal/dram", true},
-		{UnitFlow, "redcache/internal/lint", false},
-		{UnitFlow, "redcache/internal/lint/testdata/src/unitflow", false},
 		{DetSched, "redcache/internal/engine", true},
 		{DetSched, "redcache/internal/experiments", true},
 		{DetSched, "redcache/cmd/redbench", false},
@@ -174,19 +170,6 @@ func TestScopes(t *testing.T) {
 		{FPOrder, "redcache/internal/experiments", true},
 		{FPOrder, "redcache/internal/lint", false},
 		{FPOrder, "redcache/internal/lint/testdata/src/fporder", true},
-		{StateFold, "redcache/internal/dram", true},
-		{StateFold, "redcache/internal/hbm", true},
-		{StateFold, "redcache/internal/stats", true},
-		{StateFold, "redcache/internal/experiments", false},
-		{StateFold, "redcache/internal/lint", false},
-		{StateFold, "redcache/internal/lint/testdata/src/statefold", true},
-		{StateFold, "redcache/internal/lint/testdata/src/wallflow", false},
-		{WallFlow, "redcache/internal/engine", true},
-		{WallFlow, "redcache/cmd/redbench", true},
-		{WallFlow, "redcache/cmd/redsim", true},
-		{WallFlow, "redcache/internal/lint", false},
-		{WallFlow, "redcache/internal/lint/testdata/src/wallflow", true},
-		{WallFlow, "redcache/internal/lint/testdata/src/statefold", false},
 	}
 	for _, c := range cases {
 		if got := c.analyzer.Scope(c.path); got != c.want {
@@ -213,10 +196,10 @@ func f() {}
 //redvet:detsafe — v3 suppression, properly justified
 type q struct{}
 
-//redvet:foldexempt
-//redvet:wallflow
-//redvet:foldexempt — v4 suppression, properly justified
-//redvet:wallflow — v4 suppression, properly justified
+//redvet:fporder
+//redvet:ordered
+//redvet:fporder — second suppression, properly justified
+//redvet:ordered — second suppression, properly justified
 func g() {}
 `
 	fset := token.NewFileSet()
@@ -233,12 +216,12 @@ func g() {}
 	ds := auditDirectives(pkg)
 	sortDiagnostics(ds)
 	want := []string{
-		`unknown redvet directive "orderd"`,
+		`unknown redvet directive "orderd" (known: alloc, coldstart, detsafe, fporder, hotpath, ordered, statshook, units, wallclock)`,
 		"//redvet:wallclock needs a justification",
 		`unknown redvet directive "hotpth"`,
 		"//redvet:detsafe needs a justification",
-		"//redvet:foldexempt needs a justification",
-		"//redvet:wallflow needs a justification",
+		"//redvet:fporder needs a justification",
+		"//redvet:ordered needs a justification",
 	}
 	if len(ds) != len(want) {
 		t.Fatalf("got %d findings, want %d: %v", len(ds), len(want), ds)

@@ -31,9 +31,6 @@ type Package struct {
 	Target bool
 	// Deps is the transitive dependency set as reported by go list.
 	Deps []string
-	// Export is the compiled export-data file for this package, when go
-	// list produced one (used to key the fact cache).
-	Export string
 	// Directives maps filename -> line -> redvet directives on that line.
 	Directives map[string]map[int][]Directive
 	// Generated marks files with a `// Code generated ... DO NOT EDIT.`
@@ -133,8 +130,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	// check concurrently once every earlier level is done.  The result
 	// slice is indexed by the original (dependency-sorted) position, so
 	// the returned order — and everything downstream of it, including
-	// fact computation and the -factcache bytes — is identical to a
-	// sequential load.
+	// fact computation and the order of the diagnostics — is identical
+	// to a sequential load.
 	pkgs := make([]*Package, len(wanted))
 	errs := make([]error, len(wanted))
 	for _, level := range dependencyLevels(wanted) {
@@ -257,7 +254,6 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 		Info:       info,
 		Target:     !lp.DepOnly,
 		Deps:       lp.Deps,
-		Export:     lp.Export,
 		Directives: directives,
 		Generated:  generated,
 	}, nil

@@ -126,10 +126,10 @@ func TestDependencyLevels(t *testing.T) {
 
 // TestLoadDeterministicOrder checks that the level-parallel loader
 // returns byte-identical package sequences across runs — the property
-// that keeps fact computation and the -factcache contents stable.
+// that keeps fact computation, and so the diagnostics, stable.
 func TestLoadDeterministicOrder(t *testing.T) {
 	order := func() []string {
-		pkgs, err := Load("../..", "./internal/lint/testdata/src/unitflow",
+		pkgs, err := Load("../..", "./internal/lint/testdata/src/detsched",
 			"./internal/lint/testdata/src/fporder")
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestLoadDeterministicOrder(t *testing.T) {
 // pattern target are loaded (Target=false) and sorted before their
 // dependents, which the fact phases rely on.
 func TestLoadDependencyOrder(t *testing.T) {
-	pkgs, err := Load("../..", "./internal/lint/testdata/src/unitflow")
+	pkgs, err := Load("../..", "./internal/lint/testdata/src/detsched")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestLoadDependencyOrder(t *testing.T) {
 		}
 	}
 	const (
-		target = "redcache/internal/lint/testdata/src/unitflow"
-		dep    = "redcache/internal/lint/testdata/src/unitflow/nsutil"
+		target = "redcache/internal/lint/testdata/src/detsched"
+		dep    = "redcache/internal/lint/testdata/src/detsched/detutil"
 	)
 	ti, ok := seen[target]
 	if !ok {

@@ -21,15 +21,24 @@ import (
 //
 // Justified wall-clock use (e.g. progress reporting in a CLI) carries a
 // `//redvet:wallclock` annotation.
+//
+// An import boundary backs the per-call check: only the command
+// packages (redcache/cmd/...) may import "time" at all, so no
+// time-derived value can exist in the simulator, the library API or
+// the examples for a later refactor to leak into simulated state.
 var NoWallClock = &Analyzer{
 	Name:      "nowallclock",
-	Doc:       "flags time.Now and global/unseeded math/rand in simulation packages",
+	Doc:       "flags time.Now, global/unseeded math/rand, and \"time\" imports outside redcache/cmd",
 	Directive: "wallclock",
 	Scope: func(path string) bool {
-		return !strings.HasPrefix(path, "redcache/internal/lint")
+		return !strings.HasPrefix(path, "redcache/internal/lint") ||
+			strings.HasPrefix(path, "redcache/internal/lint/testdata/src/nowallclock")
 	},
 	Run: runNoWallClock,
 }
+
+// timeImporters is the package-path prefix allowed to import "time".
+const timeImporters = "redcache/cmd/"
 
 // wallClockFuncs are the time package entry points that observe or
 // depend on the host clock.
@@ -47,6 +56,15 @@ var seededRandCtors = map[string]bool{
 }
 
 func runNoWallClock(pass *Pass) {
+	if !strings.HasPrefix(pass.Pkg.Path(), timeImporters) {
+		for _, f := range pass.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"time"` {
+					pass.Reportf(imp.Pos(), "package %s imports \"time\"; only %s... may read the host clock, simulated time comes from engine.Engine.Now", pass.Pkg.Path(), timeImporters)
+				}
+			}
+		}
+	}
 	inspect(pass, func(n ast.Node, _ []ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {

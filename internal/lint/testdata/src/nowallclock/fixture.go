@@ -3,7 +3,7 @@ package fixture
 
 import (
 	"math/rand"
-	"time"
+	"time" // want `package redcache/internal/lint/testdata/src/nowallclock imports "time"`
 )
 
 // bad: wall-clock read.

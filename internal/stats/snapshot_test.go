@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestInterfaceSnapshotDelta(t *testing.T) {
 	i := &Interface{Name: "x", ReadBytes: 100, WriteBytes: 50,
@@ -81,5 +84,88 @@ func TestReuseHistogramSnapshotDelta(t *testing.T) {
 	}
 	if z := h.Delta(h.Snapshot()); z != (ReuseSnapshot{}) {
 		t.Fatalf("self-delta nonzero: %+v", z)
+	}
+}
+
+// TestSnapshotDeltaFieldExhaustive drives every Snapshot/Delta pair by
+// reflection, so a counter added to a struct without its own Delta (or
+// Snapshot) line fails here even though the hand-written tests above,
+// whose literals leave the new field zero on both sides, still pass.
+// Every numeric field of the current and previous values gets a
+// distinct value, which also catches a Delta line that reads the wrong
+// field.
+func TestSnapshotDeltaFieldExhaustive(t *testing.T) {
+	t.Run("Interface", func(t *testing.T) {
+		var cur, prev Interface
+		fillDistinct(t, &cur, 1000, "cur")
+		fillDistinct(t, &prev, 7, "prev")
+		if snap := cur.Snapshot(); snap != cur {
+			t.Fatalf("Snapshot = %+v, want %+v", snap, cur)
+		}
+		checkDelta(t, cur, prev, cur.Delta(prev))
+	})
+	t.Run("CacheStats", func(t *testing.T) {
+		var cur, prev CacheStats
+		fillDistinct(t, &cur, 1000, "")
+		fillDistinct(t, &prev, 7, "")
+		if snap := cur.Snapshot(); snap != cur {
+			t.Fatalf("Snapshot = %+v, want %+v", snap, cur)
+		}
+		checkDelta(t, cur, prev, cur.Delta(prev))
+	})
+	t.Run("ReuseHistogram", func(t *testing.T) {
+		h := NewReuseHistogram()
+		for b := uint64(1); b <= 3; b++ {
+			for n := uint64(0); n < b; n++ {
+				h.Observe(b, int64(10*b))
+			}
+		}
+		cur := h.Snapshot()
+		v := reflect.ValueOf(cur)
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Errorf("Snapshot leaves %s zero: %+v", v.Type().Field(i).Name, cur)
+			}
+		}
+		var prev ReuseSnapshot
+		fillDistinct(t, &prev, 1, "")
+		checkDelta(t, cur, prev, h.Delta(prev))
+	})
+}
+
+// fillDistinct sets field i of the struct ptr points to base*(i+1) when
+// it is an integer and to label when it is a string.
+func fillDistinct(t *testing.T, ptr any, base int64, label string) {
+	t.Helper()
+	v := reflect.ValueOf(ptr).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); {
+		case f.CanInt():
+			f.SetInt(base * int64(i+1))
+		case f.Kind() == reflect.String:
+			f.SetString(label)
+		default:
+			t.Fatalf("%s.%s: unsupported kind %s; extend fillDistinct",
+				v.Type().Name(), v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// checkDelta asserts that every integer field of got is cur - prev and
+// every string field (an identity label) is carried over from cur.
+func checkDelta(t *testing.T, cur, prev, got any) {
+	t.Helper()
+	c, p, g := reflect.ValueOf(cur), reflect.ValueOf(prev), reflect.ValueOf(got)
+	for i := 0; i < g.NumField(); i++ {
+		name := g.Type().Field(i).Name
+		if g.Field(i).Kind() == reflect.String {
+			if g.Field(i).String() != c.Field(i).String() {
+				t.Errorf("Delta %s = %q, want %q carried over", name, g.Field(i).String(), c.Field(i).String())
+			}
+			continue
+		}
+		if want := c.Field(i).Int() - p.Field(i).Int(); g.Field(i).Int() != want {
+			t.Errorf("Delta %s = %d, want %d (current - previous)", name, g.Field(i).Int(), want)
+		}
 	}
 }

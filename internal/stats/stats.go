@@ -24,7 +24,8 @@ func (c *Counter) Value() int64 { return c.n }
 
 // Interface accumulates traffic on one memory interface (WideIO or DDRx).
 type Interface struct {
-	//redvet:foldexempt — identity label set at construction, not an accumulator; folds would concatenate nothing and resets must preserve it
+	// Name is an identity label set at construction, not an accumulator:
+	// Delta carries it over instead of subtracting it.
 	Name       string
 	ReadBytes  int64
 	WriteBytes int64
