@@ -10,12 +10,10 @@
 //	redbench -csv out/       # also write CSV files
 //	redbench -table 1        # print Table I / Table II
 //	redbench -fig epochbw    # per-epoch bandwidth time series (telemetry)
-//	redbench -fig faultsweep # detected-vs-silent faults across rate decades
-//	redbench -faults default # fault-inject every run (see redsim -faults)
 //
 // Exit status: 0 on success, 1 on a runtime failure, 2 on a usage
-// error (an unknown -fig, -table or -scale, a bad -faults spec, or a
-// negative -parallel or -invariants).
+// error (an unknown -fig, -table or -scale, or a negative -parallel or
+// -invariants).
 package main
 
 import (
@@ -34,7 +32,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 2a, 2b, 3, 9, 10, 11, stats, ablation, epochbw, faultsweep or all")
+		fig     = flag.String("fig", "all", "figure to regenerate: 2a, 2b, 3, 9, 10, 11, stats, ablation, epochbw or all")
 		scale   = flag.String("scale", "default", "problem size: tiny, small or default")
 		csvDir  = flag.String("csv", "", "directory to write CSV outputs into")
 		table   = flag.Int("table", 0, "print Table 1 (config) or 2 (workloads) and exit")
@@ -43,11 +41,7 @@ func main() {
 		workers = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		epoch   = flag.Int64("epoch", 100000, "telemetry epoch length in CPU cycles (-fig epochbw)")
 		epochWl = flag.String("epochbw-workload", "LU", "workload for the -fig epochbw time series")
-
-		faults    = flag.String("faults", "off", "fault injection spec for every run: off, default, or k=v list (see redsim -faults)")
-		faultSeed = flag.Int64("faultseed", 1, "fault-injection PRNG seed")
-		invar     = flag.Int64("invariants", 0, "online invariant check period in cycles for every run (0 = off)")
-		sweepWl   = flag.String("faultsweep-workload", "LU", "workload for the -fig faultsweep rate sweep")
+		invar   = flag.Int64("invariants", 0, "online invariant check period in cycles for every run (0 = off)")
 	)
 	flag.Parse()
 	if err := checkFlags(*fig, *table, *workers, *invar); err != nil {
@@ -80,18 +74,9 @@ func main() {
 		usage(fmt.Errorf("unknown scale %q (want tiny, small or default)", *scale))
 	}
 
-	fc, err := config.ParseFaults(*faults)
-	if err != nil {
-		usage(err)
-	}
-	fc.Seed = *faultSeed
-
 	suite := experiments.NewSuite(sc)
 	if *workers > 0 {
 		suite.Parallel = *workers
-	}
-	if fc.Enabled() {
-		suite.Faults = &fc
 	}
 	if *invar > 0 {
 		suite.InvariantCycles = *invar
@@ -230,30 +215,6 @@ func main() {
 		}
 	}
 
-	// The fault sweep is opt-in like the ablations: it varies fault
-	// rates across four decades, which the memoized figure cache keys
-	// deliberately don't cover.
-	if *fig == "faultsweep" {
-		base := fc
-		if !base.Enabled() {
-			base = config.DefaultFaults()
-			base.Seed = *faultSeed
-		}
-		pts, err := suite.FaultSweep(*sweepWl, hbm.ArchRedCache, base,
-			experiments.DefaultSweepMultipliers)
-		fatalIf(err)
-		fmt.Printf("\n== Fault sweep (%s, RedCache, rates x multiplier of %s) ==\n",
-			*sweepWl, base.Spec())
-		fmt.Println("ECC-bits tradeoff: tag/row/bus faults are detected and degraded;")
-		fmt.Println("data faults in the no-ECC region pass silently (DESIGN.md §10)")
-		for _, p := range pts {
-			fmt.Printf("  x%-6g detected %8d (tag %d, row %d, bus %d)  silent %8d (tag %d, data %d)  time %.3fx\n",
-				p.Multiplier, p.Detected, p.TagDetected, p.Row, p.Bus,
-				p.Silent, p.TagSilent, p.Data, p.RelTime)
-		}
-		writeCSV("faultsweep.csv", experiments.FaultSweepCSV(pts))
-	}
-
 	// Like ablation, the epoch-bandwidth series is opt-in: it needs one
 	// extra telemetry-enabled simulation on top of the memoized figures.
 	if *fig == "epochbw" {
@@ -309,7 +270,7 @@ func printTable2() {
 
 // figs lists the accepted -fig values: "all", each paper figure, the
 // text statistics, and the opt-in studies.
-var figs = []string{"all", "2a", "2b", "3", "9", "10", "11", "stats", "ablation", "epochbw", "faultsweep"}
+var figs = []string{"all", "2a", "2b", "3", "9", "10", "11", "stats", "ablation", "epochbw"}
 
 // checkFlags rejects flag values main would otherwise ignore or fall
 // through on: an unknown -fig prints nothing, an unknown -table runs

@@ -12,7 +12,7 @@ func TestCheckFlags(t *testing.T) {
 		ok         bool
 	}{
 		{"defaults", "all", 0, 0, 0, true},
-		{"every knob set", "faultsweep", 2, 4, 10000, true},
+		{"every knob set", "ablation", 2, 4, 10000, true},
 		{"unknown fig", "bogus", 0, 0, 0, false},
 		{"empty fig", "", 0, 0, 0, false},
 		{"unknown table", "all", 3, 0, 0, false},

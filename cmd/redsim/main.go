@@ -4,17 +4,9 @@
 // Usage:
 //
 //	redsim -workload LU -arch RedCache [-scale default] [-seed 1]
-//	       [-faults default -faultseed 1] [-invariants [-invperiod 10000]]
-//	       [-maxcycles N]
+//	       [-invariants [-invperiod 10000]] [-maxcycles N]
 //	       [-telemetry out/ -epoch 100000 [-events]]
 //	       [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace run.trace]
-//
-// -faults enables deterministic fault injection: "default" (or "on")
-// uses the paper-motivated default rates, "off" disables, and a
-// comma-separated k=v list (tag, tagescape, rcount, data, row, bus)
-// sets individual per-access probabilities.  -faultseed seeds the fault
-// PRNG independently of the workload seed; a fixed (seed, faultseed)
-// pair reproduces a bit-identical run.
 //
 // -invariants turns on the online invariant checker (engine heap order,
 // FR-FCFS queue state, tag-store/RCU consistency, counter sanity) every
@@ -69,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale     = fs.String("scale", "default", "problem size: tiny, small or default")
 		seed      = fs.Int64("seed", 1, "workload PRNG seed")
 		cores     = fs.Int("cores", 0, "override core count (0 = config default)")
-		faults    = fs.String("faults", "off", "fault injection spec: off, default, or k=v list (tag, tagescape, rcount, data, row, bus)")
-		faultSeed = fs.Int64("faultseed", 1, "fault-injection PRNG seed (independent of -seed)")
 		invar     = fs.Bool("invariants", false, "run the online invariant checker every -invperiod cycles")
 		invPeriod = fs.Int64("invperiod", 10000, "invariant check period in CPU cycles (with -invariants)")
 		maxCycles = fs.Int64("maxcycles", 0, "abort via the cycle-budget watchdog past this many cycles (0 = no limit)")
@@ -105,11 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	fc, err := config.ParseFaults(*faults)
-	if err != nil {
-		return usage(err)
-	}
-	fc.Seed = *faultSeed
 	if *invPeriod <= 0 {
 		return usage(fmt.Errorf("-invperiod must be positive, got %d", *invPeriod))
 	}
@@ -145,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer rttrace.Stop()
 	}
 
-	opts := &sim.Options{Faults: &fc, MaxCycles: *maxCycles}
+	opts := &sim.Options{MaxCycles: *maxCycles}
 	if *invar {
 		opts.InvariantCycles = *invPeriod
 	}
@@ -212,12 +197,6 @@ func report(w io.Writer, cfg *config.System, spec workloads.Spec, sc workloads.S
 		fmt.Fprintf(w, "RCU:             enq=%d piggyback=%d idle=%d dropped=%d merged=%d blockHits=%d free=%s\n",
 			r.Enqueued, r.Piggyback, r.IdleFlush, r.Dropped, r.Merged, r.BlockHits,
 			stats.Fmt(r.FreeShare()))
-	}
-	if f := res.FaultStats; f != nil {
-		fmt.Fprintf(w, "faults:          detected=%d silent=%d\n", f.Detected(), f.Silent())
-		fmt.Fprintf(w, "  tag det=%d sil=%d (dirty dropped %d)  rcount=%d  data=%d  row=%d  bus=%d\n",
-			f.TagDetected, f.TagSilent, f.DirtyDropped,
-			f.RCountFaults, f.SilentData, f.RowFaults, f.BusFaults)
 	}
 	if res.InvariantChecks > 0 {
 		fmt.Fprintf(w, "invariants:      %d sweeps clean\n", res.InvariantChecks)

@@ -33,8 +33,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-no-such-flag"},
 		{"-workload", "NOPE"},
 		{"-scale", "huge"},
-		{"-faults", "bogus=1"},
-		{"-faults", "tag=2.0"},
 		{"-invperiod", "0"},
 		{"-maxcycles", "-1"},
 		{"-events"}, // -events without -telemetry
@@ -80,38 +78,33 @@ func TestCleanRunReport(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, stdout)
 		}
 	}
-	if strings.Contains(stdout, "faults:") {
-		t.Error("fault-free run reported fault counters")
-	}
 }
 
-func TestFaultedRunDeterministic(t *testing.T) {
-	// Rates well above the defaults so the tiny run draws enough faults
-	// for two seeds to visibly diverge.
-	spec := "tag=0.02,tagescape=0.1,rcount=0.02,data=0.02,row=0.002,bus=0.02"
-	args := []string{"-scale", "tiny", "-cores", "4", "-faults", spec, "-faultseed", "7"}
+// TestRunReportDeterministic runs the same invariant-checked run twice
+// and compares the reports byte for byte, wall line aside: a wall-clock
+// value leaking into simulated state would show up here.  HIST draws
+// its keys from the seed, so a second seed must change the report.
+func TestRunReportDeterministic(t *testing.T) {
+	args := []string{"-workload", "HIST", "-scale", "tiny", "-cores", "4", "-invariants"}
 	code, first, stderr := runCLI(args...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(first, "faults:") || !strings.Contains(first, "detected=") {
-		t.Fatalf("faulted run did not report fault counters:\n%s", first)
 	}
 	code, second, _ := runCLI(args...)
 	if code != 0 {
 		t.Fatal("repeat run failed")
 	}
 	if stripWall(first) != stripWall(second) {
-		t.Errorf("same (seed, faultseed) produced different reports:\n--- first ---\n%s\n--- second ---\n%s",
+		t.Errorf("same seed produced different reports:\n--- first ---\n%s\n--- second ---\n%s",
 			first, second)
 	}
 
-	code, other, _ := runCLI("-scale", "tiny", "-cores", "4", "-faults", spec, "-faultseed", "8")
+	code, other, _ := runCLI(append(args, "-seed", "2")...)
 	if code != 0 {
 		t.Fatal("other-seed run failed")
 	}
 	if stripWall(first) == stripWall(other) {
-		t.Error("different fault seeds produced identical reports")
+		t.Error("different seeds produced identical reports")
 	}
 }
 

@@ -6,23 +6,18 @@ import (
 	"strings"
 )
 
-// Faults configures the deterministic fault-injection subsystem
-// (internal/fault).  Every rate is a per-event Bernoulli probability in
-// [0, 1]: per TAD tag probe, per r-count read, per HBM data read, per
-// DRAM row activation, per data burst.  The zero value disables
-// injection entirely — the simulator builds no injector and the run is
-// byte-identical to a fault-free one.
+// Faults is a fault-rate specification.  Every rate is a per-event
+// Bernoulli probability in [0, 1]: per TAD tag probe, per r-count read,
+// per HBM data read, per DRAM row activation, per data burst.  The zero
+// value is the disabled specification.
 //
-// The rates model the reliability cost of RedCache's central storage
+// The rates describe the reliability cost of RedCache's central storage
 // trick (§III): the per-block r-count lives in the spare ECC bits next
 // to the tag, so the data region of the HBM cache runs without ECC and
-// tag/metadata integrity rests on a simple parity code.  DESIGN.md §10
-// documents the model and the detection/degradation policies.
+// tag/metadata integrity rests on a simple parity code.  No simulator
+// component reads a Faults value.
 type Faults struct {
-	// Seed seeds the fault-domain PRNG.  Each fault domain draws from
-	// its own splitmix64 stream derived from (Seed, domain), so a fixed
-	// (workload seed, fault seed) pair reproduces bit-identical results
-	// and enabling one domain never perturbs another's stream.
+	// Seed is the fault PRNG seed carried alongside the rates.
 	Seed int64
 
 	// TagFlip is the probability that a TAD probe reads a corrupted tag
@@ -46,10 +41,10 @@ type Faults struct {
 	BusError float64
 }
 
-// DefaultFaults returns the rate set behind `-faults default`: high
-// enough that short evaluation runs accumulate visible counts in every
-// domain, ordered the way hardware failure modes are (bus and data
-// upsets common, whole-row failures rare).
+// DefaultFaults returns the "default" rate set: high enough that short
+// evaluation runs would accumulate visible counts in every domain,
+// ordered the way hardware failure modes are (bus and data upsets
+// common, whole-row failures rare).
 func DefaultFaults() Faults {
 	return Faults{
 		Seed:       1,
@@ -87,8 +82,7 @@ func (f *Faults) Validate() error {
 
 // Scaled returns a copy with every occurrence rate multiplied by m
 // (clamped to 1).  The conditional parity-escape probability is a code
-// property, not an event rate, so it is left unscaled.  Fault sweeps
-// use this to walk one base configuration through rate multipliers.
+// property, not an event rate, so it is left unscaled.
 func (f Faults) Scaled(m float64) Faults {
 	clamp := func(x float64) float64 {
 		x *= m
@@ -109,8 +103,8 @@ func (f Faults) Scaled(m float64) Faults {
 }
 
 // Spec renders the rate set in the syntax ParseFaults accepts, in a
-// fixed key order; the Seed is carried separately (the -faultseed
-// flag).  A disabled configuration renders as "off".
+// fixed key order; the Seed is not rendered.  A disabled configuration
+// renders as "off".
 func (f *Faults) Spec() string {
 	if !f.Enabled() {
 		return "off"
@@ -124,7 +118,7 @@ func (f *Faults) Spec() string {
 		",bus=" + g(f.BusError)
 }
 
-// ParseFaults parses a -faults specification.  Accepted forms:
+// ParseFaults parses a fault specification.  Accepted forms:
 //
 //	""            -> disabled (zero Faults)
 //	"off"         -> disabled
@@ -134,7 +128,7 @@ func (f *Faults) Spec() string {
 //	                 override individual rates, e.g. "default,row=1e-3"
 //
 // The result is validated; the Seed field is left at the preset's
-// value (callers overlay the -faultseed flag).
+// value.
 func ParseFaults(spec string) (Faults, error) {
 	var f Faults
 	spec = strings.TrimSpace(spec)

@@ -2,7 +2,7 @@ package config
 
 import "testing"
 
-// FuzzParseFaults asserts the -faults spec parser never panics and
+// FuzzParseFaults asserts the fault spec parser never panics and
 // never yields a configuration its own Validate rejects, and that
 // Spec() output reparses to the identical rate set (modulo the seed and
 // the escape rate, which a disabled spec does not carry).

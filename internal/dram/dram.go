@@ -19,7 +19,6 @@ import (
 
 	"redcache/internal/config"
 	"redcache/internal/engine"
-	"redcache/internal/fault"
 	"redcache/internal/mem"
 	"redcache/internal/stats"
 )
@@ -138,9 +137,6 @@ type Controller struct {
 	writeHook WriteHook
 	idleHook  IdleHook
 	observer  Observer
-	// inj injects row-activation failures and transient bus errors into
-	// the command schedule; nil (the default) costs one check per site.
-	inj *fault.Injector
 
 	// MaxQueue bounds the per-channel transaction queue; Enqueue panics
 	// beyond it to catch upstream flow-control bugs.
@@ -280,9 +276,6 @@ type Observer func(t *Txn, rowHit bool, cycles int64)
 
 // SetObserver installs the per-transaction observer.
 func (c *Controller) SetObserver(o Observer) { c.observer = o }
-
-// SetFaultInjector installs the fault source (nil disables injection).
-func (c *Controller) SetFaultInjector(inj *fault.Injector) { c.inj = inj }
 
 // Interface exposes the traffic statistics this controller accumulates
 // (the RedCache α controller reads bus utilization from it).
@@ -579,12 +572,6 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 		actAt := max(preAt+boolTo64(b.openRow >= 0)*tm.TRP,
 			b.rcReady, b.readyAt, rk.lastAct+tm.TRRD,
 			rk.actHist[rk.actIdx]+tm.TFAW)
-		if c.inj.RowActivate(t.Loc.Channel, t.Loc.Rank, t.Loc.Bank, t.Loc.Row) {
-			// The activation failed (detected by the die): retry after a
-			// fresh precharge-activate cycle, charging the extra command.
-			actAt += tm.TRP + tm.TRCD
-			c.iface.Activates++
-		}
 		b.actAt = actAt
 		b.rcReady = actAt + tm.TRC
 		b.openRow = t.Loc.Row
@@ -629,12 +616,6 @@ func (c *Controller) issue(ch *channel, t *Txn, now int64) int64 {
 			burstCycles += busCycles(extra, tm.TBL)
 			c.iface.WriteBytes += int64(extra)
 		}
-	}
-	if c.inj.BusBurst(t.Loc.Channel, t.Bytes) {
-		// Link CRC caught a transient error: the whole burst (including
-		// any piggybacked bytes) is retransmitted, doubling its bus
-		// occupancy without moving extra payload.
-		burstCycles *= 2
 	}
 	dataEnd := dataStart + burstCycles
 

@@ -33,11 +33,6 @@ type Suite struct {
 	Workloads []string
 	// Progress, when set, receives a line per completed run.
 	Progress func(msg string)
-	// Faults, when non-nil, enables deterministic fault injection on
-	// every run in the suite; the figure pipeline stays byte-identical
-	// across serial/parallel execution because each run's draws depend
-	// only on (workload seed, fault seed).
-	Faults *config.Faults
 	// InvariantCycles, when > 0, runs the online invariant checker at
 	// this period in every simulation.
 	InvariantCycles int64
@@ -134,14 +129,13 @@ func (s *Suite) resultG(label string, arch hbm.Arch, gran int) (*sim.Result, err
 	return res, nil
 }
 
-// runOpts builds the per-run options from the suite-wide fault,
-// invariant, and watchdog settings; nil when none is set so the
-// memoized figure runs keep their exact fault-free fast path.
+// runOpts builds the per-run options from the suite-wide invariant and
+// watchdog settings; nil when neither is set.
 func (s *Suite) runOpts() *sim.Options {
-	if s.Faults == nil && s.InvariantCycles <= 0 && s.MaxCycles <= 0 {
+	if s.InvariantCycles <= 0 && s.MaxCycles <= 0 {
 		return nil
 	}
-	return &sim.Options{Faults: s.Faults, InvariantCycles: s.InvariantCycles, MaxCycles: s.MaxCycles}
+	return &sim.Options{InvariantCycles: s.InvariantCycles, MaxCycles: s.MaxCycles}
 }
 
 // runAll executes the given runs, bounded by s.Parallel workers, and
@@ -397,7 +391,6 @@ func (s *Suite) Fig3(labels []string) ([]Fig3Result, error) {
 		}
 		hist := stats.NewReuseHistogram()
 		opts := &sim.Options{
-			Faults:          s.Faults,
 			InvariantCycles: s.InvariantCycles,
 			DDRObserver: func(txn *dram.Txn, rowHit bool, cycles int64) {
 				// Deliberate cross-component attribution: the Fig 3

@@ -23,7 +23,6 @@ func (s *Suite) EpochBandwidthCSV(label string, arch hbm.Arch, epoch int64) (str
 	}
 	cfg := *s.Sys
 	res, err := sim.Run(&cfg, arch, t, &sim.Options{
-		Faults:          s.Faults,
 		InvariantCycles: s.InvariantCycles,
 		Telemetry:       &obs.Options{EpochCycles: epoch},
 	})

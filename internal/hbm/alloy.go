@@ -53,7 +53,7 @@ func (c *alloy) Submit(req *mem.Request) {
 }
 
 func (c *alloy) handleRead(req *mem.Request) {
-	e, hit := c.lookupFaulty(req.Addr)
+	e, hit := c.tags.lookup(req.Addr)
 	c.s.TagProbes++
 	g := c.tags.granularity()
 	if hit {
@@ -61,7 +61,6 @@ func (c *alloy) handleRead(req *mem.Request) {
 		e.rcount = satInc(e.rcount)
 		e.lastWrite = false
 		c.d.hbm.Read(req.Addr, mem.BlockSize, req.TakeDone())
-		c.inj.DataRead(uint64(req.Addr)) // TADs trade ECC for tags here too
 		return
 	}
 	c.s.Demand.Misses++
@@ -87,7 +86,7 @@ func (c *alloy) finishReadFill(req *mem.Request, addr, base mem.Addr, f int64) {
 }
 
 func (c *alloy) handleWrite(req *mem.Request) {
-	e, hit := c.lookupFaulty(req.Addr)
+	e, hit := c.tags.lookup(req.Addr)
 	c.s.TagProbes++
 	c.d.hbm.Read(req.Addr, mem.BlockSize, nil) // probe
 	if hit {

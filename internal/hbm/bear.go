@@ -96,10 +96,7 @@ func (c *bear) Submit(req *mem.Request) {
 }
 
 func (c *bear) handleRead(req *mem.Request) {
-	// The read path pays a TAD probe exactly like Alloy, so its tag read
-	// goes through the fault filter; the write path's lookup below is
-	// the SRAM presence filter (ECC-protected) and stays exact.
-	e, hit := c.lookupFaulty(req.Addr)
+	e, hit := c.tags.lookup(req.Addr)
 	c.s.TagProbes++
 	c.observe(hit)
 	g := c.tags.granularity()
@@ -109,7 +106,6 @@ func (c *bear) handleRead(req *mem.Request) {
 		e.rcount = satInc(e.rcount)
 		e.lastWrite = false
 		c.d.hbm.Read(req.Addr, mem.BlockSize, req.TakeDone())
-		c.inj.DataRead(uint64(req.Addr))
 		return
 	}
 	c.s.Demand.Misses++

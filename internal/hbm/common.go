@@ -1,7 +1,6 @@
 package hbm
 
 import (
-	"redcache/internal/fault"
 	"redcache/internal/mem"
 	"redcache/internal/obs"
 )
@@ -14,9 +13,6 @@ type ctlBase struct {
 	s    Stats
 	tags *tagStore
 	tr   *obs.Tracer
-	// inj models tag/r-count/data corruption in the ECC-less TAD layout;
-	// nil (the default) keeps every probe a plain tag-store lookup.
-	inj *fault.Injector
 }
 
 func newCtlBase(d deps) ctlBase {
@@ -25,32 +21,6 @@ func newCtlBase(d deps) ctlBase {
 
 // Stats exposes the controller statistics.
 func (c *ctlBase) Stats() *Stats { return &c.s }
-
-// SetFaultInjector installs the fault source (nil disables injection).
-// The sim wire-up discovers it via interface assertion, so controllers
-// without a TAD tag store (NoHBM, Ideal) simply do not expose it.
-func (c *ctlBase) SetFaultInjector(inj *fault.Injector) { c.inj = inj }
-
-// lookupFaulty probes the tag store through the fault model: the tag
-// field physically lives in the spare ECC bits, so a probe can read it
-// corrupted.  A parity-detected corruption makes the frame's metadata
-// untrustworthy — the controller drops the frame (losing dirty data,
-// which the injector counts) and reports a conservative miss.  An
-// escaped corruption keeps the probe's verdict but is counted as a
-// silent fault.  Invalid frames carry no metadata to corrupt.
-//
-//redvet:hotpath
-func (c *ctlBase) lookupFaulty(addr mem.Addr) (e *tagEntry, hit bool) {
-	e, hit = c.tags.lookup(addr)
-	if c.inj == nil || !e.valid {
-		return e, hit
-	}
-	if c.inj.TagProbe(uint64(addr), e.dirty) == fault.TagDetected {
-		*e = tagEntry{}
-		return e, false
-	}
-	return e, hit
-}
 
 // retire accounts a block leaving HBM (eviction or invalidation): the
 // last-access-type statistic (§II-C), the zero-reuse counter used by α

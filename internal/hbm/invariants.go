@@ -45,17 +45,16 @@ func (c *red) CheckInvariants() error {
 			len(c.regret), len(c.regretRing), regretCap)
 	}
 	if c.rcu != nil {
-		return c.rcu.check()
+		return c.rcu.check(c.tags)
 	}
 	return nil
 }
 
 // check validates the RCU CAM: bounded occupancy, block-aligned unique
-// addresses, and location tags consistent with the address mapping.
-// (A parity-detected tag fault can orphan a CAM entry — its frame was
-// dropped without the eviction path's dropFromRCU — so residency in the
-// tag store is deliberately not asserted; orphans age out harmlessly.)
-func (r *rcuManager) check() error {
+// addresses, location tags consistent with the address mapping, and
+// every pending block resident in tags (eviction and invalidation drop
+// a block's entry before its frame goes).
+func (r *rcuManager) check(tags *tagStore) error {
 	if len(r.entries) > r.cap {
 		return fmt.Errorf("hbm: RCU CAM holds %d entries, above capacity %d", len(r.entries), r.cap)
 	}
@@ -67,6 +66,9 @@ func (r *rcuManager) check() error {
 		if e.loc != r.hbm.Map(e.addr) {
 			return fmt.Errorf("hbm: RCU entry %d location tag inconsistent with mapping of %#x",
 				i, uint64(e.addr))
+		}
+		if !tags.present(e.addr) {
+			return fmt.Errorf("hbm: RCU entry %d holds %#x, which is not resident", i, uint64(e.addr))
 		}
 		for j := i + 1; j < len(r.entries); j++ {
 			if r.entries[j].addr == e.addr {

@@ -169,21 +169,6 @@ func (c *red) visibleCount(e *tagEntry, addr mem.Addr) uint8 {
 	return e.rcount
 }
 
-// visibleCountFaulty is visibleCount through the fault model: a count
-// held in the RCU CAM is an SRAM copy and stays intact, but one read
-// out of the TAD's spare ECC bits can come back corrupted, in which
-// case it is clamped to zero (perturbing γ adaptation, never crashing).
-//
-//redvet:hotpath
-func (c *red) visibleCountFaulty(e *tagEntry, addr mem.Addr) uint8 {
-	if c.f.rcu {
-		if cnt, ok := c.rcu.lookup(addr); ok {
-			return cnt
-		}
-	}
-	return c.inj.ReadRCount(uint64(addr), e.rcount)
-}
-
 func (c *red) Submit(req *mem.Request) {
 	isWrite := req.Type == mem.Write
 	if isWrite {
@@ -284,15 +269,14 @@ func (c *red) persistRCount(e *tagEntry, addr mem.Addr, fresh uint8) {
 }
 
 func (c *red) handleRead(req *mem.Request) {
-	e, hit := c.lookupFaulty(req.Addr)
+	e, hit := c.tags.lookup(req.Addr)
 	c.s.TagProbes++
 	g := c.tags.granularity()
 	if hit {
 		c.s.Demand.Hits++
 		c.d.hbm.Read(req.Addr, mem.BlockSize, req.TakeDone())
-		c.inj.DataRead(uint64(req.Addr)) // served from the no-ECC data region
 		if c.f.gamma {
-			fresh := satInc(c.visibleCountFaulty(e, req.Addr))
+			fresh := satInc(c.visibleCount(e, req.Addr))
 			e.lastWrite = false
 			c.updateGamma(fresh)
 			c.persistRCount(e, req.Addr, fresh)
@@ -357,12 +341,12 @@ func (c *red) keepDirtyVictim(e *tagEntry) bool {
 }
 
 func (c *red) handleWrite(req *mem.Request) {
-	e, hit := c.lookupFaulty(req.Addr)
+	e, hit := c.tags.lookup(req.Addr)
 	c.s.TagProbes++
 	c.d.hbm.Read(req.Addr, mem.BlockSize, nil) // probe
 	if hit {
 		c.s.Demand.Hits++
-		vis := c.inj.ReadRCount(uint64(req.Addr), e.rcount)
+		vis := e.rcount
 		if c.f.rcu {
 			// The demand write persists any pending count for free.
 			if cnt, ok := c.rcu.dropBlock(req.Addr); ok {

@@ -241,6 +241,27 @@ func TestRedCacheDefersUpdatesToRCU(t *testing.T) {
 	}
 }
 
+// TestRCUInvariantRequiresResidency: a pending r-count update whose
+// block has left the tag store is an orphan the eviction paths must
+// never leave behind, and the online invariant check must catch one.
+func TestRCUInvariantRequiresResidency(t *testing.T) {
+	r := newRig(t, ArchRedCache, instantAdmit)
+	r.warm(0)
+	r.access(0, mem.Read) // hit: update parked in the RCU
+	c := r.ctl.(*red)
+	if c.rcu.Len() != 1 {
+		t.Fatalf("RCU holds %d updates, want 1", c.rcu.Len())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("resident pending update flagged: %v", err)
+	}
+	e, _ := c.tags.lookup(0)
+	e.valid = false // drop the frame behind the CAM's back
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("orphaned RCU entry passed the invariant check")
+	}
+}
+
 func TestRedCacheDemandWriteMergesUpdate(t *testing.T) {
 	r := newRig(t, ArchRedCache, func(cfg *config.System) {
 		instantAdmit(cfg)

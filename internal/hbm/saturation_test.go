@@ -9,10 +9,9 @@ import (
 
 // This file audits the saturating-counter arithmetic at its width
 // limits: the 16-bit α page counters, the 8-bit r-count field, and the
-// γ estimator the fault model deliberately perturbs.  None of these may
-// wrap, and every adaptive move must stay inside its configured bounds
-// even when fed the maximum representable value (what a corrupted read
-// clamps or saturates to).
+// γ estimator.  None of these may wrap, and every adaptive move must
+// stay inside its configured bounds even when fed the maximum
+// representable value.
 
 // TestAlphaCounterSaturates pins the shared page counter at 0xFFFF: an
 // unreachable threshold must leave the counter saturated forever, never

@@ -62,7 +62,6 @@ var detschedPkgs = []string{
 	"redcache/internal/cpu",
 	"redcache/internal/mem",
 	"redcache/internal/obs",
-	"redcache/internal/fault",
 	"redcache/internal/experiments",
 }
 

@@ -32,26 +32,6 @@ const (
 	// EvAlphaMove: the α threshold adapted (A = old, B = new).
 	EvAlphaMove
 
-	// EvFaultTagDetected: a corrupted tag probe was caught by parity and
-	// degraded to a conservative miss (addr = block, A = 1 if the
-	// dropped frame was dirty).
-	EvFaultTagDetected
-	// EvFaultTagSilent: a corrupted tag probe escaped the parity check
-	// (addr = block).
-	EvFaultTagSilent
-	// EvFaultRCount: an r-count read was corrupted and clamped to zero
-	// (addr = block, A = the value that was lost).
-	EvFaultRCount
-	// EvFaultData: a demand read from the no-ECC HBM data region carried
-	// a silent corruption (addr = block).
-	EvFaultData
-	// EvFaultRow: a row activation failed and was retried (addr packs
-	// channel/rank/bank, A = row).
-	EvFaultRow
-	// EvFaultBus: a data burst took a transient bus error and was
-	// retransmitted (addr = channel, A = burst bytes).
-	EvFaultBus
-
 	numEventKinds
 )
 
@@ -60,8 +40,6 @@ var eventNames = [numEventKinds]string{
 	"admission", "bypass", "invalidate",
 	"rcu_enqueue", "rcu_piggyback", "rcu_overflow", "rcu_idle_flush",
 	"gamma_move", "alpha_move",
-	"fault_tag_detected", "fault_tag_silent", "fault_rcount",
-	"fault_data", "fault_row", "fault_bus",
 }
 
 // String implements fmt.Stringer.

@@ -54,19 +54,23 @@ func TestRequestConservation(t *testing.T) {
 }
 
 // TestHitMissAccounting: demand hits + misses + direct-to-memory must
-// cover every request that reached the controller.
+// cover every request that reached the controller, with the online
+// invariant checker sweeping every architecture along the way.
 func TestHitMissAccounting(t *testing.T) {
 	cfg := config.Tiny()
 	tr := workloads.MG(cfg.CPU.Cores, workloads.Tiny, 1)
 	for _, arch := range hbm.All() {
-		res, err := Run(cfg, arch, tr, nil)
+		res, err := Run(cfg, arch, tr, &Options{InvariantCycles: 50000})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", arch, err)
 		}
 		total := res.Ctl.Reads + res.Ctl.Writes
 		covered := res.Ctl.Demand.Accesses() + res.Ctl.DirectToMem
 		if covered != total {
 			t.Errorf("%s: hits+misses+direct = %d, requests = %d", arch, covered, total)
+		}
+		if res.InvariantChecks == 0 {
+			t.Errorf("%s: invariant checker never ran", arch)
 		}
 	}
 }

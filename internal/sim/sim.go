@@ -11,7 +11,6 @@ import (
 	"redcache/internal/dram"
 	"redcache/internal/energy"
 	"redcache/internal/engine"
-	"redcache/internal/fault"
 	"redcache/internal/hbm"
 	"redcache/internal/mem"
 	"redcache/internal/obs"
@@ -41,11 +40,6 @@ type Result struct {
 	// Telemetry holds the epoch time-series and event trace when
 	// Options.Telemetry was set; nil otherwise.
 	Telemetry *obs.Telemetry
-
-	// FaultStats holds the fault-injection counters when Options.Faults
-	// enabled injection; nil for fault-free runs (keeping the golden
-	// fault-free results byte-identical).
-	FaultStats *fault.Stats
 
 	// InvariantChecks counts completed online invariant sweeps when
 	// Options.InvariantCycles was set.
@@ -90,10 +84,6 @@ type Options struct {
 	// completion at this cycle returns a structured *Error instead of
 	// hanging.  0 means no limit.
 	MaxCycles int64
-	// Faults configures deterministic fault injection; nil or a disabled
-	// configuration builds no injector and leaves every hot path on its
-	// fault-free fast path.
-	Faults *config.Faults
 	// InvariantCycles, when > 0, runs the online invariant checker
 	// (engine heap order, FR-FCFS queue state, tag-store/RCU CAM
 	// consistency, counter sanity) every this many cycles; a violation
@@ -123,34 +113,24 @@ type machine struct {
 	hbmCtl *dram.Controller
 	ddrCtl *dram.Controller
 	ctl    hbm.Controller
-	inj    *fault.Injector
 	cx     *cpu.Complex
 	tel    *obs.Telemetry
 	invs   *invariantRunner
 }
 
 // validateRun checks Run's inputs.
-func validateRun(cfg *config.System, t *trace.Trace, opts *Options) error {
+func validateRun(cfg *config.System, t *trace.Trace) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if t.Cores() == 0 {
 		return fmt.Errorf("sim: trace %q has no streams", t.Name)
 	}
-	if opts == nil {
-		return nil
-	}
-	if opts.Faults != nil {
-		if err := opts.Faults.Validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // buildMachine wires a complete machine in the canonical order — the
-// order is part of the determinism contract (telemetry columns, fault
-// streams).
+// order is part of the determinism contract (telemetry columns).
 func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options) (*machine, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -177,22 +157,6 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 	}
 	m.ctl = ctl
 
-	if opts.Faults != nil {
-		// One injector is shared by the cache controller and both channel
-		// models: the engine is single-threaded, so the draw order — and
-		// with it the whole run — is a pure function of (seed, faultseed).
-		m.inj = fault.New(*opts.Faults)
-	}
-	if m.inj != nil {
-		m.ddrCtl.SetFaultInjector(m.inj)
-		if m.hbmCtl != nil {
-			m.hbmCtl.SetFaultInjector(m.inj)
-		}
-		if fc, ok := ctl.(interface{ SetFaultInjector(*fault.Injector) }); ok {
-			fc.SetFaultInjector(m.inj)
-		}
-	}
-
 	m.cx = cpu.NewComplex(m.eng, cfg, t, submitFunc(func(req *mem.Request) { m.ctl.Submit(req) }))
 
 	if opts.Telemetry != nil {
@@ -217,10 +181,6 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		m.ctl.RegisterTelemetry(tel)
 		m.cx.RegisterProbes(&tel.Reg)
 		obs.RegisterCache(&tel.Reg, "l3", m.cx.Hier.L3Stats())
-		// Fault probes register last so fault-free telemetry keeps its
-		// exact column layout.
-		m.inj.RegisterProbes(&tel.Reg)
-		m.inj.SetTracer(tel.Tracer)
 		tel.Start()
 		m.eng.SchedulePeriodic(tel.EpochCycles(), tel.Sample)
 	}
@@ -272,10 +232,6 @@ func (m *machine) complete() (res *Result, err error) {
 	m.res.EventsFired = m.eng.Fired
 	m.res.Ctl = *m.ctl.Stats()
 	m.res.L3 = *m.cx.Hier.L3Stats()
-	if m.inj != nil {
-		fs := *m.inj.Stats()
-		m.res.FaultStats = &fs
-	}
 	if m.invs != nil {
 		m.res.InvariantChecks = m.invs.sweeps
 	}
@@ -318,7 +274,7 @@ func (m *machine) runLoop() {
 // inside the run loop surface as a structured *Error carrying the
 // engine state at the point of failure.
 func Run(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options) (*Result, error) {
-	if err := validateRun(cfg, t, opts); err != nil {
+	if err := validateRun(cfg, t); err != nil {
 		return nil, err
 	}
 	m, err := buildMachine(cfg, arch, t, opts)

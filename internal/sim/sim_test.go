@@ -11,32 +11,23 @@ import (
 	"redcache/internal/workloads"
 )
 
-// ckptOpts builds the standard full-coverage option set: telemetry
-// (series + event trace), invariants, and optionally faults — every
-// observer a run can carry.
-func ckptOpts(faults bool) *Options {
-	opts := &Options{
+// fullOpts builds the standard full-coverage option set: telemetry
+// (series + event trace) and invariants — every observer a run can
+// carry.
+func fullOpts() *Options {
+	return &Options{
 		InvariantCycles: 4096,
 		Telemetry:       &obs.Options{EpochCycles: 4096, TraceEvents: true},
 	}
-	if faults {
-		f := config.DefaultFaults()
-		f.Seed = 7
-		opts.Faults = &f
-	}
-	return opts
 }
 
 // fullString renders everything the run-identity contract covers:
-// the golden counters, event and sweep counts, fault counters, and the
-// telemetry series and event trace.
+// the golden counters, event and sweep counts, and the telemetry
+// series and event trace.
 func fullString(t *testing.T, r *Result) string {
 	t.Helper()
 	s := goldenString(r)
 	s += fmt.Sprintf("Events:%d InvariantChecks:%d\n", r.EventsFired, r.InvariantChecks)
-	if r.FaultStats != nil {
-		s += fmt.Sprintf("Faults:%+v\n", *r.FaultStats)
-	}
 	if r.Telemetry != nil {
 		var buf bytes.Buffer
 		if err := obs.WriteSeriesJSONL(&buf, r.Telemetry.Series()); err != nil {
