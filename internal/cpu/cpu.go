@@ -25,9 +25,9 @@ type slot struct {
 	// req is the embedded, reused demand-read request for misses served
 	// by the memory subsystem; doneFn is its completion callback, bound
 	// once when the slot is first allocated.  Controllers never retain a
-	// *Request past its completion closure, and a slot is only recycled
-	// after its completion has fired (ready && done <= now), so reuse is
-	// safe.
+	// *Request past Submit, so the request could be reused as soon as
+	// Submit returns; the slot itself is only recycled after its
+	// completion has fired (ready && done <= now).
 	req    mem.Request
 	doneFn func(finish int64)
 }
@@ -256,11 +256,12 @@ func (c *Core) step() {
 		c.lastStall = -1
 	}
 
-	level, lat := c.hier.Access(c.id, rec.Addr, rec.Write)
+	addr := rec.Addr()
+	level, lat := c.hier.Access(c.id, addr, rec.Write)
 	s := c.getSlot()
 	if level == cache.Memory {
 		s.req = mem.Request{
-			Addr:   rec.Addr.Align(),
+			Addr:   addr,
 			Type:   mem.Read, // store misses fetch-for-ownership
 			Core:   c.id,
 			Issued: now,
@@ -330,16 +331,21 @@ type Complex struct {
 	remaining int
 	// AllDoneAt is the cycle the last core finished, -1 while running.
 	AllDoneAt int64
+
+	eng    *engine.Engine
+	memsys Submitter
+	// wb is the one request every L3 writeback travels in: controllers
+	// never retain a *Request past Submit, so it is overwritten per
+	// eviction instead of allocated.
+	wb mem.Request
 }
 
 // NewComplex builds cores over t's streams; the Writeback path of the
 // hierarchy is wired to ms as posted write requests.
 func NewComplex(eng *engine.Engine, cfg *config.System, t *trace.Trace, ms Submitter) *Complex {
-	cx := &Complex{AllDoneAt: -1}
+	cx := &Complex{AllDoneAt: -1, eng: eng, memsys: ms}
 	cx.Hier = cache.NewHierarchy(len(t.Streams), cfg.L1, cfg.L2, cfg.L3)
-	cx.Hier.Writeback = func(b mem.BlockID) {
-		ms.Submit(&mem.Request{Addr: b.Addr(), Type: mem.Write, Core: -1, Issued: eng.Now()})
-	}
+	cx.Hier.Writeback = cx.writeback
 	cx.remaining = len(t.Streams)
 	onFinish := func() {
 		cx.remaining--
@@ -351,6 +357,14 @@ func NewComplex(eng *engine.Engine, cfg *config.System, t *trace.Trace, ms Submi
 		cx.Cores = append(cx.Cores, NewCore(i, eng, cx.Hier, ms, s, cfg.CPU, onFinish))
 	}
 	return cx
+}
+
+// writeback submits a dirty L3 victim as a posted write.
+//
+//redvet:hotpath
+func (cx *Complex) writeback(b mem.BlockID) {
+	cx.wb = mem.Request{Addr: b.Addr(), Type: mem.Write, Core: -1, Issued: cx.eng.Now()}
+	cx.memsys.Submit(&cx.wb)
 }
 
 // Start launches every core.

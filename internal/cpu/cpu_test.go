@@ -25,7 +25,8 @@ func (m *fixedMem) Submit(req *mem.Request) {
 	}
 	m.reads++
 	finish := m.eng.Now() + m.latency
-	m.eng.Schedule(finish, func() { req.Complete(finish) })
+	done := req.TakeDone()
+	m.eng.Schedule(finish, func() { done(finish) })
 }
 
 func testCfg(cores int) *config.System {
@@ -53,7 +54,7 @@ func seqTrace(cores, recs int, gap uint16) *trace.Trace {
 		var s trace.Stream
 		for i := 0; i < recs; i++ {
 			s = append(s, trace.Record{Gap: gap,
-				Addr: mem.Addr((c*recs + i) * 4096)}) // distinct pages: all miss
+				Block: uint32((c*recs + i) * 64)}) // distinct pages: all miss
 		}
 		tr.Streams = append(tr.Streams, s)
 	}
@@ -119,7 +120,7 @@ func TestGapsAdvanceTime(t *testing.T) {
 	// the issue width.
 	tr := &trace.Trace{Streams: []trace.Stream{make(trace.Stream, 100)}}
 	for i := range tr.Streams[0] {
-		tr.Streams[0][i] = trace.Record{Gap: 400, Addr: 0}
+		tr.Streams[0][i] = trace.Record{Gap: 400, Block: 0}
 	}
 	cfg := testCfg(1)
 	eng := engine.New()
@@ -136,7 +137,7 @@ func TestGapsAdvanceTime(t *testing.T) {
 func TestStoresArePosted(t *testing.T) {
 	var s trace.Stream
 	for i := 0; i < 10; i++ {
-		s = append(s, trace.Record{Write: true, Addr: mem.Addr(i * 4096)})
+		s = append(s, trace.Record{Write: true, Block: uint32(i * 64)})
 	}
 	tr := &trace.Trace{Streams: []trace.Stream{s}}
 	_, ms, done := run(t, tr, 2000)
@@ -154,7 +155,7 @@ func TestWritebacksReachMemory(t *testing.T) {
 	// Dirty a long stream of blocks so L1/L2/L3 evictions cascade.
 	var s trace.Stream
 	for i := 0; i < 3000; i++ {
-		s = append(s, trace.Record{Write: true, Addr: mem.Addr(i * 64)})
+		s = append(s, trace.Record{Write: true, Block: uint32(i)})
 	}
 	tr := &trace.Trace{Streams: []trace.Stream{s}}
 	_, ms, _ := run(t, tr, 20)

@@ -6,6 +6,7 @@ import (
 	"redcache/internal/config"
 	"redcache/internal/hbm"
 	"redcache/internal/sim"
+	"redcache/internal/trace"
 )
 
 // AblationPoint is one configuration of an ablation sweep.
@@ -20,33 +21,47 @@ type AblationPoint struct {
 
 // ablate runs RedCache across the suite's workloads once per variant,
 // where each variant mutates a copy of the system config, and normalizes
-// to the first variant.
+// to the first variant.  The variant × workload runs share the suite's
+// pool of s.Parallel workers; each writes only its own times[vi][wi]
+// and energies[vi][wi] cell, so the points do not depend on completion
+// order.
 func (s *Suite) ablate(variants []struct {
 	name   string
 	mutate func(sys *systemMutator)
 }) ([]AblationPoint, error) {
 	labels := s.Labels()
+	traces := make([]*trace.Trace, len(labels))
+	for wi, w := range labels {
+		t, err := s.traceFor(w)
+		if err != nil {
+			return nil, err
+		}
+		traces[wi] = t
+	}
 	times := make([][]float64, len(variants))
 	energies := make([][]float64, len(variants))
-	for vi, v := range variants {
-		for _, w := range labels {
-			t, err := s.traceFor(w)
-			if err != nil {
-				return nil, err
-			}
-			cfg := *s.Sys
-			m := &systemMutator{sys: &cfg}
-			v.mutate(m)
-			res, err := sim.Run(&cfg, hbm.ArchRedCache, t, nil)
-			if err != nil {
-				return nil, fmt.Errorf("ablation %s/%s: %w", v.name, w, err)
-			}
-			times[vi] = append(times[vi], float64(res.Cycles))
-			energies[vi] = append(energies[vi], res.Energy.HBMCache())
-			if s.Progress != nil {
-				s.Progress(fmt.Sprintf("ablation %s/%s: %d cycles", v.name, w, res.Cycles))
-			}
+	for vi := range variants {
+		times[vi] = make([]float64, len(labels))
+		energies[vi] = make([]float64, len(labels))
+	}
+	err := s.forEach(len(variants)*len(labels), func(i int) error {
+		vi, wi := i/len(labels), i%len(labels)
+		v, w := variants[vi], labels[wi]
+		cfg := *s.Sys
+		v.mutate(&systemMutator{sys: &cfg})
+		res, err := sim.Run(&cfg, hbm.ArchRedCache, traces[wi], nil)
+		if err != nil {
+			return fmt.Errorf("ablation %s/%s: %w", v.name, w, err)
 		}
+		times[vi][wi] = float64(res.Cycles)
+		energies[vi][wi] = res.Energy.HBMCache()
+		if s.Progress != nil {
+			s.Progress(fmt.Sprintf("ablation %s/%s: %d cycles", v.name, w, res.Cycles))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var out []AblationPoint
 	for vi, v := range variants {

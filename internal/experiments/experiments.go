@@ -139,31 +139,41 @@ func (s *Suite) runOpts() *sim.Options {
 }
 
 // runAll executes the given runs, bounded by s.Parallel workers, and
-// returns the first error.
+// returns the first error in key order.
 func (s *Suite) runAll(keys []runKey) error {
-	workers := s.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	errCh := make(chan error, len(keys))
+	return s.forEach(len(keys), func(i int) error {
+		k := keys[i]
+		_, err := s.resultG(k.workload, k.arch, k.granularity)
+		return err
+	})
+}
+
+// forEach calls fn(0), …, fn(n-1) on at most s.Parallel goroutines and
+// returns the error of the lowest index that failed.  Each fn must
+// publish its result by its index (or into the runKey memo), never in
+// completion order.
+func (s *Suite) forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, max(s.Parallel, 1))
 	var wg sync.WaitGroup
-	for _, k := range keys {
+	for i := range errs {
 		wg.Add(1)
-		//redvet:detsafe — harness fan-out only: each worker runs an isolated simulation and memoizes its Results keyed by runKey; consumers read the memo in their own deterministic key order, so scheduling never reaches reported bytes
-		go func(k runKey) {
+		//redvet:detsafe — harness fan-out only: each worker runs an isolated simulation and publishes by index or into the runKey-keyed memo; consumers read in their own deterministic order, so scheduling never reaches reported bytes
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if _, err := s.resultG(k.workload, k.arch, k.granularity); err != nil {
-				errCh <- err
-			}
-		}(k)
+			errs[i] = fn(i)
+		}()
 	}
-	//redvet:detsafe — barrier only: workers publish into the runKey-keyed memo, and every post-Wait read iterates fixed config lists, not completion order
+	//redvet:detsafe — barrier only: every post-Wait read walks indices or fixed config lists, not completion order
 	wg.Wait()
-	close(errCh)
-	return <-errCh
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Geomean computes the geometric mean of xs.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -226,5 +227,23 @@ func TestAblations(t *testing.T) {
 				t.Fatalf("%s/%s: bad point %+v", name, p.Name, p)
 			}
 		}
+	}
+}
+
+// TestAblationParallelMatchesSerial checks that fanning the ablation
+// runs out over the worker pool leaves every point unchanged.
+func TestAblationParallelMatchesSerial(t *testing.T) {
+	points := func(parallel int) []AblationPoint {
+		s := tinySuite()
+		s.Parallel = parallel
+		pts, err := s.AblationRCUSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	serial, parallel := points(1), points(3)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("Parallel 3 points differ from Parallel 1:\n%+v\n%+v", parallel, serial)
 	}
 }

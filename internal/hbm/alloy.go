@@ -33,9 +33,9 @@ func newAlloy(d deps) *alloy {
 func (c *alloy) fireOp(o *op, f int64) {
 	switch o.kind {
 	case opAlloyReadFill:
-		c.finishReadFill(o.req, o.addr, o.base, f)
+		c.finishReadFill(o.done, o.addr, o.base, f)
 	case opAlloyWriteInstall:
-		c.installWrite(o.req, o.addr, o.base)
+		c.installWrite(o.done, o.addr, o.base)
 	}
 }
 
@@ -67,15 +67,17 @@ func (c *alloy) handleRead(req *mem.Request) {
 	// The TAD probe still occupies the HBM bus (and returns the victim).
 	c.d.hbm.Read(req.Addr, mem.BlockSize, nil)
 	base := c.frameBase(req.Addr.Align())
-	c.d.ddr.Read(base, g, c.ops.get(opAlloyReadFill, req.Addr, base, false, req))
+	c.d.ddr.Read(base, g, c.ops.get(opAlloyReadFill, req.Addr, base, false, req.TakeDone()))
 }
 
 // finishReadFill completes a read-miss fill after the DDR4 data
 // arrives (posted).  The tag entry is positional: the store is
 // direct-mapped and never reallocates, so the entry the submit-time
 // probe returned is exactly addr's frame.
-func (c *alloy) finishReadFill(req *mem.Request, addr, base mem.Addr, f int64) {
-	req.Complete(f)
+func (c *alloy) finishReadFill(done func(int64), addr, base mem.Addr, f int64) {
+	if done != nil {
+		done(f)
+	}
 	c.s.Fills++
 	e, _ := c.tags.lookup(addr)
 	if e.valid {
@@ -103,15 +105,15 @@ func (c *alloy) handleWrite(req *mem.Request) {
 	g := c.tags.granularity()
 	base := c.frameBase(req.Addr.Align())
 	if g > mem.BlockSize {
-		c.d.ddr.Read(base, g, c.ops.get(opAlloyWriteInstall, req.Addr, base, false, req))
+		c.d.ddr.Read(base, g, c.ops.get(opAlloyWriteInstall, req.Addr, base, false, req.TakeDone()))
 	} else {
-		c.installWrite(req, req.Addr, base)
+		c.installWrite(req.TakeDone(), req.Addr, base)
 	}
 }
 
 // installWrite write-allocates addr's frame once any coarse-granularity
 // remainder has arrived from DDR4.
-func (c *alloy) installWrite(req *mem.Request, addr, base mem.Addr) {
+func (c *alloy) installWrite(done func(int64), addr, base mem.Addr) {
 	c.s.Fills++
 	e, _ := c.tags.lookup(addr)
 	if e.valid {
@@ -120,7 +122,7 @@ func (c *alloy) installWrite(req *mem.Request, addr, base mem.Addr) {
 	c.install(e, addr)
 	e.dirty = true
 	e.lastWrite = true
-	c.d.hbm.Write(base, c.tags.granularity(), req.TakeDone())
+	c.d.hbm.Write(base, c.tags.granularity(), done)
 }
 
 //redvet:hotpath

@@ -52,7 +52,7 @@ func newBear(d deps) *bear {
 // fireOp dispatches a pooled miss continuation (see op.go).
 func (c *bear) fireOp(o *op, f int64) {
 	if o.kind == opBearReadFill {
-		c.finishReadFill(o.req, o.addr, o.base, o.fill, f)
+		c.finishReadFill(o.done, o.addr, o.base, o.fill, f)
 	}
 }
 
@@ -112,13 +112,15 @@ func (c *bear) handleRead(req *mem.Request) {
 	// The TAD probe still happens (it returned the victim's data).
 	c.d.hbm.Read(req.Addr, mem.BlockSize, nil)
 	fill := c.shouldFill()
-	c.d.ddr.Read(base, g, c.ops.get(opBearReadFill, req.Addr, base, fill, req))
+	c.d.ddr.Read(base, g, c.ops.get(opBearReadFill, req.Addr, base, fill, req.TakeDone()))
 }
 
 // finishReadFill completes a read miss: the BAB verdict was drawn at
 // submit time and travels with the op.
-func (c *bear) finishReadFill(req *mem.Request, addr, base mem.Addr, fill bool, f int64) {
-	req.Complete(f)
+func (c *bear) finishReadFill(done func(int64), addr, base mem.Addr, fill bool, f int64) {
+	if done != nil {
+		done(f)
+	}
 	if !fill {
 		c.s.FillBypass++
 		return

@@ -52,6 +52,9 @@ func Figure9Archs() []Arch {
 // Controller is the memory subsystem below the L3.
 type Controller interface {
 	// Submit hands over an L3 miss (read) or L3 dirty eviction (write).
+	// The controller takes req.Done (see mem.Request.TakeDone) and must
+	// not hold req itself once Submit returns: the caller may overwrite
+	// and resubmit the same Request immediately.
 	Submit(req *mem.Request)
 	// Name reports the architecture.
 	Name() Arch

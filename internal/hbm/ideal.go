@@ -23,7 +23,7 @@ func newIdeal(d deps) *ideal {
 // second HBM access after the tag-check read returns.
 func (c *ideal) fireOp(o *op, _ int64) {
 	if o.kind == opIdealWrite {
-		c.d.hbm.Write(o.addr, mem.BlockSize, o.req.TakeDone())
+		c.d.hbm.Write(o.addr, mem.BlockSize, o.done)
 	}
 }
 
@@ -38,7 +38,7 @@ func (c *ideal) Submit(req *mem.Request) {
 		c.s.Writes++
 		// Tag-check read, then the data write.
 		c.d.hbm.Read(req.Addr, mem.BlockSize,
-			c.ops.get(opIdealWrite, req.Addr, req.Addr, false, req))
+			c.ops.get(opIdealWrite, req.Addr, req.Addr, false, req.TakeDone()))
 		return
 	}
 	c.s.Reads++

@@ -30,8 +30,9 @@ type op struct {
 	addr mem.Addr // the demand request's address
 	base mem.Addr // frame base of the fill transfer
 	fill bool     // BEAR's bandwidth-aware-bypass verdict
-	// req is the demand request being served.
-	req *mem.Request
+	// done is the demand request's completion callback, detached with
+	// TakeDone at submit time; the op never holds the request itself.
+	done func(int64)
 	// fire is the once-bound completion callback handed to the DRAM
 	// layer in place of a per-miss closure.
 	fire func(int64)
@@ -58,7 +59,7 @@ func (p *opPool) newOp() *op {
 	o.fire = func(f int64) {
 		p.run(o, f)
 		o.kind = opIdle
-		o.req = nil
+		o.done = nil
 		p.free = append(p.free, o)
 	}
 	return o
@@ -68,7 +69,7 @@ func (p *opPool) newOp() *op {
 // callback.
 //
 //redvet:hotpath
-func (p *opPool) get(kind opKind, addr, base mem.Addr, fill bool, req *mem.Request) func(int64) {
+func (p *opPool) get(kind opKind, addr, base mem.Addr, fill bool, done func(int64)) func(int64) {
 	var o *op
 	if n := len(p.free); n > 0 {
 		o = p.free[n-1]
@@ -76,6 +77,6 @@ func (p *opPool) get(kind opKind, addr, base mem.Addr, fill bool, req *mem.Reque
 	} else {
 		o = p.newOp()
 	}
-	o.kind, o.addr, o.base, o.fill, o.req = kind, addr, base, fill, req
+	o.kind, o.addr, o.base, o.fill, o.done = kind, addr, base, fill, done
 	return o.fire
 }

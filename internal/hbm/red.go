@@ -299,24 +299,26 @@ func (c *red) handleRead(req *mem.Request) {
 		return
 	}
 	base := c.frameBase(req.Addr.Align())
-	c.d.ddr.Read(base, g, c.ops.get(opRedReadFill, req.Addr, base, false, req))
+	c.d.ddr.Read(base, g, c.ops.get(opRedReadFill, req.Addr, base, false, req.TakeDone()))
 }
 
 // fireOp dispatches a pooled miss continuation (see op.go).
 func (c *red) fireOp(o *op, f int64) {
 	switch o.kind {
 	case opRedReadFill:
-		c.finishReadFill(o.req, o.addr, o.base, f)
+		c.finishReadFill(o.done, o.addr, o.base, f)
 	case opRedWriteInstall:
-		c.installWrite(o.req, o.addr, o.base)
+		c.installWrite(o.done, o.addr, o.base)
 	}
 }
 
 // finishReadFill completes a read-miss fill after the DDR4 data
 // arrives.  The tag entry is positional (direct-mapped store, never
 // reallocated), so it is recomputed from the address.
-func (c *red) finishReadFill(req *mem.Request, addr, base mem.Addr, f int64) {
-	req.Complete(f)
+func (c *red) finishReadFill(done func(int64), addr, base mem.Addr, f int64) {
+	if done != nil {
+		done(f)
+	}
 	c.s.Fills++
 	e, _ := c.tags.lookup(addr)
 	if e.valid {
@@ -390,15 +392,15 @@ func (c *red) handleWrite(req *mem.Request) {
 	g := c.tags.granularity()
 	base := c.frameBase(req.Addr.Align())
 	if g > mem.BlockSize {
-		c.d.ddr.Read(base, g, c.ops.get(opRedWriteInstall, req.Addr, base, false, req))
+		c.d.ddr.Read(base, g, c.ops.get(opRedWriteInstall, req.Addr, base, false, req.TakeDone()))
 	} else {
-		c.installWrite(req, req.Addr, base)
+		c.installWrite(req.TakeDone(), req.Addr, base)
 	}
 }
 
 // installWrite write-allocates addr's frame, evicting any old resident,
 // once any coarse-granularity remainder has arrived from DDR4.
-func (c *red) installWrite(req *mem.Request, addr, base mem.Addr) {
+func (c *red) installWrite(done func(int64), addr, base mem.Addr) {
 	c.s.Fills++
 	e, _ := c.tags.lookup(addr)
 	if e.valid {
@@ -408,7 +410,7 @@ func (c *red) installWrite(req *mem.Request, addr, base mem.Addr) {
 	c.install(e, addr)
 	e.dirty = true
 	e.lastWrite = true
-	c.d.hbm.Write(base, c.tags.granularity(), req.TakeDone())
+	c.d.hbm.Write(base, c.tags.granularity(), done)
 }
 
 // dropFromRCU removes any pending update for a departing frame so it

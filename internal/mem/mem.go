@@ -72,6 +72,11 @@ func (t AccessType) IsWrite() bool { return t == Write }
 // Request is a memory request as seen below the L3: a demand read (an L3
 // load miss that a core is waiting on) or a writeback (an evicted dirty
 // L3 line).  The DRAM-cache controllers in internal/hbm consume these.
+//
+// Ownership ends at Submit: a controller reads the fields and detaches
+// Done with TakeDone while Submit runs, and holds no pointer to the
+// Request once Submit returns.  Callers may therefore embed or reuse a
+// single Request (the CPU model sends every L3 writeback through one).
 type Request struct {
 	Addr   Addr
 	Type   AccessType

@@ -36,7 +36,7 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 // traces of different shapes where buffer reuse is partial.
 func TestDecoderReuseMatchesOneShot(t *testing.T) {
 	big := benchTrace()
-	small := &Trace{Name: "small", Streams: []Stream{{{Gap: 3, Write: true, Addr: 64}}}}
+	small := &Trace{Name: "small", Streams: []Stream{{{Gap: 3, Write: true, Block: 1}}}}
 	dec := NewDecoder()
 	for _, tr := range []*Trace{big, small, big} {
 		var buf bytes.Buffer

@@ -19,12 +19,23 @@ import (
 	"redcache/internal/mem"
 )
 
-// Record is one traced memory operation.
+// Record is one traced memory operation.  It holds the 64 B block
+// index rather than the byte address: trace addresses are always block
+// aligned, so the low six bits carry nothing, and a 32-bit index (256
+// GiB of physical memory) packs the record into 8 bytes instead of 16.
 type Record struct {
 	Gap   uint16 // non-memory instructions before this access
 	Write bool
-	Addr  mem.Addr
+	Block uint32 // 64 B block index (the address >> mem.BlockShift)
 }
+
+// maxAddr bounds the byte addresses a Record can hold: 2^32 blocks.
+const maxAddr = mem.Addr(1) << (32 + mem.BlockShift)
+
+// Addr returns the block-aligned byte address of the access.
+//
+//redvet:hotpath
+func (r Record) Addr() mem.Addr { return mem.BlockID(r.Block).Addr() }
 
 // Stream is one core's trace.
 type Stream []Record
@@ -52,7 +63,7 @@ func (t *Trace) Footprint() int {
 	seen := make(map[mem.BlockID]struct{})
 	for _, s := range t.Streams {
 		for _, r := range s {
-			seen[r.Addr.Block()] = struct{}{}
+			seen[mem.BlockID(r.Block)] = struct{}{}
 		}
 	}
 	return len(seen)
@@ -83,7 +94,7 @@ func (t *Trace) ReuseCounts() map[mem.BlockID]int {
 	m := make(map[mem.BlockID]int)
 	for _, s := range t.Streams {
 		for _, r := range s {
-			m[r.Addr.Block()]++
+			m[mem.BlockID(r.Block)]++
 		}
 	}
 	return m
@@ -94,7 +105,7 @@ func (t *Trace) ReuseCounts() map[mem.BlockID]int {
 type Builder struct {
 	stream    Stream
 	gap       uint32
-	lastBlock mem.BlockID
+	lastBlock uint32
 	lastValid bool
 	lastWrite bool
 }
@@ -109,7 +120,10 @@ func (b *Builder) Load(addr mem.Addr) { b.access(addr, false) }
 func (b *Builder) Store(addr mem.Addr) { b.access(addr, true) }
 
 func (b *Builder) access(addr mem.Addr, write bool) {
-	blk := addr.Block()
+	if addr >= maxAddr {
+		panic(fmt.Sprintf("trace: address %#x is beyond the 256 GiB a record can hold", uint64(addr)))
+	}
+	blk := uint32(addr.Block())
 	// Coalesce immediate same-block repetitions (they would hit L1
 	// anyway); a write upgrades the coalesced record.
 	if b.lastValid && blk == b.lastBlock && b.gap == 0 {
@@ -129,14 +143,14 @@ func (b *Builder) access(addr mem.Addr, write bool) {
 		b.gap -= g
 		if b.gap > 0 {
 			// Emit an extra read to carry the overflow gap.
-			b.stream = append(b.stream, Record{Gap: uint16(g), Addr: blk.Addr()})
+			b.stream = append(b.stream, Record{Gap: uint16(g), Block: blk})
 			continue
 		}
-		b.stream = append(b.stream, Record{Gap: uint16(g), Write: write, Addr: blk.Addr()})
+		b.stream = append(b.stream, Record{Gap: uint16(g), Write: write, Block: blk})
 		b.lastBlock, b.lastValid, b.lastWrite = blk, true, write
 		return
 	}
-	b.stream = append(b.stream, Record{Write: write, Addr: blk.Addr()})
+	b.stream = append(b.stream, Record{Write: write, Block: blk})
 	b.lastBlock, b.lastValid, b.lastWrite = blk, true, write
 }
 
@@ -151,6 +165,9 @@ func (b *Builder) Len() int { return len(b.stream) }
 //	magic "RCT1" | uint32 cores | name (uint16 len + bytes)
 //	per stream: uint64 count, then count records of
 //	    uint16 gap | uint8 flags | uint64 addr  (little endian)
+//
+// The addr field is a byte address; Decode rejects one that is not
+// block aligned or not below 2^38, since a Record cannot hold it.
 var magic = [4]byte{'R', 'C', 'T', '1'}
 
 // recSize is the encoded size of one record; recBatch records are staged
@@ -221,7 +238,7 @@ func (e *Encoder) Encode(w io.Writer, t *Trace) error {
 				} else {
 					rec[2] = 0
 				}
-				binary.LittleEndian.PutUint64(rec[3:recSize], uint64(r.Addr))
+				binary.LittleEndian.PutUint64(rec[3:recSize], uint64(r.Addr()))
 			}
 			if _, err := bw.Write(e.chunk[:n*recSize]); err != nil {
 				return err
@@ -318,10 +335,15 @@ func (d *Decoder) Decode(r io.Reader) (*Trace, error) {
 			}
 			for j := 0; j < k; j++ {
 				rec := d.chunk[j*recSize:]
+				addr := mem.Addr(binary.LittleEndian.Uint64(rec[3:recSize]))
+				if !addr.BlockAligned() || addr >= maxAddr {
+					return nil, fmt.Errorf("trace: stream %d record %d: address %#x is not a block-aligned address below 256 GiB",
+						i, off+uint64(j), uint64(addr))
+				}
 				s = append(s, Record{
 					Gap:   binary.LittleEndian.Uint16(rec[0:2]),
 					Write: rec[2] != 0,
-					Addr:  mem.Addr(binary.LittleEndian.Uint64(rec[3:recSize])),
+					Block: uint32(addr.Block()),
 				})
 			}
 		}

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"redcache/internal/mem"
 )
@@ -79,7 +82,7 @@ func TestBuilderRecordsBlockAligned(t *testing.T) {
 			}
 		}
 		for _, r := range b.Stream() {
-			if !r.Addr.BlockAligned() {
+			if !r.Addr().BlockAligned() {
 				return false
 			}
 		}
@@ -98,7 +101,7 @@ func randomTrace(rng *rand.Rand) *Trace {
 			s = append(s, Record{
 				Gap:   uint16(rng.Intn(1000)),
 				Write: rng.Intn(2) == 0,
-				Addr:  mem.Addr(rng.Intn(1 << 24)).Align(),
+				Block: uint32(rng.Intn(1 << 18)),
 			})
 		}
 		tr.Streams = append(tr.Streams, s)
@@ -140,7 +143,7 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncated(t *testing.T) {
-	tr := &Trace{Name: "x", Streams: []Stream{{{Gap: 1, Addr: 64}}}}
+	tr := &Trace{Name: "x", Streams: []Stream{{{Gap: 1, Block: 1}}}}
 	var buf bytes.Buffer
 	if err := Encode(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -155,8 +158,8 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 
 func TestTraceAnalysis(t *testing.T) {
 	tr := &Trace{Name: "a", Streams: []Stream{
-		{{Addr: 0, Write: false}, {Addr: 64, Write: true}},
-		{{Addr: 0, Write: true}},
+		{{Block: 0, Write: false}, {Block: 1, Write: true}},
+		{{Block: 0, Write: true}},
 	}}
 	if tr.Cores() != 2 || tr.Records() != 3 {
 		t.Fatalf("cores/records = %d/%d", tr.Cores(), tr.Records())
@@ -174,4 +177,60 @@ func TestTraceAnalysis(t *testing.T) {
 	if rc[0] != 2 || rc[1] != 1 {
 		t.Fatalf("reuse counts = %v", rc)
 	}
+}
+
+func TestRecordIsEightBytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Record{}); sz != 8 {
+		t.Fatalf("Record is %d bytes, want 8", sz)
+	}
+}
+
+func TestDecodeRejectsUnrepresentableAddress(t *testing.T) {
+	tr := &Trace{Name: "x", Streams: []Stream{{{Gap: 1, Block: 1}, {Write: true, Block: 2}}}}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	// magic | cores | name length | name | count | record 0 | record 1,
+	// whose address field follows its gap and flags bytes.
+	addrOff := 4 + 6 + len(tr.Name) + 8 + recSize + 3
+	for _, addr := range []uint64{2*mem.BlockSize + 8, 1 << 38} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(raw[addrOff:], addr)
+		_, err := Decode(bytes.NewReader(raw))
+		if err == nil {
+			t.Fatalf("address %#x: decoded without error", addr)
+		}
+		if !strings.Contains(err.Error(), "stream 0 record 1") {
+			t.Errorf("address %#x: error %q does not name the stream and record", addr, err)
+		}
+	}
+	// The largest representable block still decodes.
+	raw := append([]byte(nil), buf.Bytes()...)
+	binary.LittleEndian.PutUint64(raw[addrOff:], 1<<38-mem.BlockSize)
+	got, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := got.Streams[0][1].Block; b != 1<<32-1 {
+		t.Fatalf("top block decoded as %#x", b)
+	}
+}
+
+func TestBuilderRejectsAddressBeyondRange(t *testing.T) {
+	var b Builder
+	b.Load(1<<38 - mem.BlockSize) // the last representable block
+	if got := b.Stream()[0].Addr(); got != 1<<38-mem.BlockSize {
+		t.Fatalf("top block round-tripped to %#x", uint64(got))
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Store beyond 256 GiB did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "0x4000000000") {
+			t.Errorf("panic %q does not name the address", msg)
+		}
+	}()
+	b.Store(1 << 38)
 }

@@ -59,8 +59,8 @@ func TestAllWorkloadsGenerateAtTinyScale(t *testing.T) {
 		}
 		for ci, st := range tr.Streams {
 			for _, r := range st {
-				if !r.Addr.BlockAligned() {
-					t.Fatalf("%s core %d: unaligned record %#x", s.Label, ci, uint64(r.Addr))
+				if !r.Addr().BlockAligned() {
+					t.Fatalf("%s core %d: unaligned record %#x", s.Label, ci, uint64(r.Addr()))
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func TestSharedStructuresAreShared(t *testing.T) {
 		perCore[c] = map[mem.BlockID]bool{}
 		for _, r := range st {
 			if r.Write {
-				perCore[c][r.Addr.Block()] = true
+				perCore[c][r.Addr().Block()] = true
 			}
 		}
 	}
