@@ -115,7 +115,8 @@ func BenchmarkFig11SystemEnergy(b *testing.B) {
 }
 
 // BenchmarkArchitectures measures raw simulation throughput per
-// architecture on one workload (an ablation of controller overheads).
+// architecture on one workload (an ablation of controller overheads),
+// in trace records and engine events per wall second.
 func BenchmarkArchitectures(b *testing.B) {
 	cfg := DefaultConfig()
 	tr, err := GenerateTrace("LU", cfg.CPU.Cores, ScaleSmall, 1)
@@ -125,15 +126,18 @@ func BenchmarkArchitectures(b *testing.B) {
 	for _, arch := range Architectures() {
 		b.Run(string(arch), func(b *testing.B) {
 			var cycles int64
+			var events uint64
 			for i := 0; i < b.N; i++ {
 				res, err := Run(cfg, arch, tr)
 				if err != nil {
 					b.Fatal(err)
 				}
 				cycles = res.Cycles
+				events += res.EventsFired
 			}
 			b.ReportMetric(float64(cycles), "sim-cycles")
 			b.ReportMetric(float64(tr.Records()*b.N)/b.Elapsed().Seconds(), "records/s")
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

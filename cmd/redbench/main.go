@@ -12,8 +12,9 @@
 //	redbench -fig epochbw    # per-epoch bandwidth time series (telemetry)
 //
 // Exit status: 0 on success, 1 on a runtime failure, 2 on a usage
-// error (an unknown -fig, -table or -scale, or a negative -parallel or
-// -invariants).
+// error (an unknown -fig, -table, -scale, -workloads label or
+// -epochbw-workload, a non-positive -epoch, or a negative -parallel or
+// -invariants).  Every flag is checked before any work starts.
 package main
 
 import (
@@ -31,29 +32,24 @@ import (
 )
 
 func main() {
-	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 2a, 2b, 3, 9, 10, 11, stats, ablation, epochbw or all")
-		scale   = flag.String("scale", "default", "problem size: tiny, small or default")
-		csvDir  = flag.String("csv", "", "directory to write CSV outputs into")
-		table   = flag.Int("table", 0, "print Table 1 (config) or 2 (workloads) and exit")
-		quiet   = flag.Bool("q", false, "suppress per-run progress")
-		only    = flag.String("workloads", "", "comma-separated workload subset (default: all 11)")
-		workers = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		epoch   = flag.Int64("epoch", 100000, "telemetry epoch length in CPU cycles (-fig epochbw)")
-		epochWl = flag.String("epochbw-workload", "LU", "workload for the -fig epochbw time series")
-		invar   = flag.Int64("invariants", 0, "online invariant check period in cycles for every run (0 = off)")
-	)
+	var f flags
+	flag.StringVar(&f.fig, "fig", "all", "figure to regenerate: 2a, 2b, 3, 9, 10, 11, stats, ablation, epochbw or all")
+	flag.StringVar(&f.scale, "scale", "default", "problem size: tiny, small or default")
+	flag.IntVar(&f.table, "table", 0, "print Table 1 (config) or 2 (workloads) and exit")
+	flag.StringVar(&f.workloads, "workloads", "", "comma-separated workload subset (default: all 11)")
+	flag.IntVar(&f.parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	flag.Int64Var(&f.epoch, "epoch", 100000, "telemetry epoch length in CPU cycles (-fig epochbw)")
+	flag.StringVar(&f.epochWl, "epochbw-workload", "LU", "workload for the -fig epochbw time series")
+	flag.Int64Var(&f.invariants, "invariants", 0, "online invariant check period in cycles for every run (0 = off)")
+	csvDir := flag.String("csv", "", "directory to write CSV outputs into")
+	quiet := flag.Bool("q", false, "suppress per-run progress")
 	flag.Parse()
-	if err := checkFlags(*fig, *table, *workers, *invar); err != nil {
+	sc, only, err := checkFlags(f)
+	if err != nil {
 		usage(err)
 	}
 
-	if *benchMode {
-		runBenchSuite()
-		return
-	}
-
-	switch *table {
+	switch f.table {
 	case 1:
 		printTable1()
 		return
@@ -62,28 +58,14 @@ func main() {
 		return
 	}
 
-	var sc workloads.Scale
-	switch *scale {
-	case "tiny":
-		sc = workloads.Tiny
-	case "small":
-		sc = workloads.Small
-	case "default":
-		sc = workloads.Default
-	default:
-		usage(fmt.Errorf("unknown scale %q (want tiny, small or default)", *scale))
-	}
-
 	suite := experiments.NewSuite(sc)
-	if *workers > 0 {
-		suite.Parallel = *workers
+	if f.parallel > 0 {
+		suite.Parallel = f.parallel
 	}
-	if *invar > 0 {
-		suite.InvariantCycles = *invar
+	if f.invariants > 0 {
+		suite.InvariantCycles = f.invariants
 	}
-	if *only != "" {
-		suite.Workloads = strings.Split(*only, ",")
-	}
+	suite.Workloads = only
 	if !*quiet {
 		suite.Progress = func(msg string) { fmt.Fprintln(os.Stderr, "  ", msg) }
 	}
@@ -102,7 +84,7 @@ func main() {
 		fmt.Println("wrote", path)
 	}
 
-	want := func(f string) bool { return *fig == "all" || *fig == f }
+	want := func(fig string) bool { return f.fig == "all" || f.fig == fig }
 
 	if want("2a") {
 		pts, err := suite.Fig2a()
@@ -192,7 +174,7 @@ func main() {
 		writeCSV("fig11.csv", f11.CSV())
 	}
 
-	if *fig == "ablation" {
+	if f.fig == "ablation" {
 		fmt.Println("\n== Ablations (RedCache, normalized to the paper configuration) ==")
 		// A slice, not a map: ablation sections must print in a fixed
 		// order so the report is byte-stable across runs (detmaprange).
@@ -217,10 +199,10 @@ func main() {
 
 	// Like ablation, the epoch-bandwidth series is opt-in: it needs one
 	// extra telemetry-enabled simulation on top of the memoized figures.
-	if *fig == "epochbw" {
-		csv, err := suite.EpochBandwidthCSV(*epochWl, hbm.ArchRedCache, *epoch)
+	if f.fig == "epochbw" {
+		csv, err := suite.EpochBandwidthCSV(f.epochWl, hbm.ArchRedCache, f.epoch)
 		fatalIf(err)
-		fmt.Printf("\n== Per-epoch bandwidth (%s, RedCache, epoch %d cycles) ==\n", *epochWl, *epoch)
+		fmt.Printf("\n== Per-epoch bandwidth (%s, RedCache, epoch %d cycles) ==\n", f.epochWl, f.epoch)
 		fmt.Print(csv)
 		writeCSV("epochbw.csv", csv)
 	}
@@ -272,24 +254,64 @@ func printTable2() {
 // text statistics, and the opt-in studies.
 var figs = []string{"all", "2a", "2b", "3", "9", "10", "11", "stats", "ablation", "epochbw"}
 
-// checkFlags rejects flag values main would otherwise ignore or fall
-// through on: an unknown -fig prints nothing, an unknown -table runs
-// the whole evaluation, and negative -parallel or -invariants would be
-// dropped as if unset.
-func checkFlags(fig string, table, parallel int, invariants int64) error {
-	if !slices.Contains(figs, fig) {
-		return fmt.Errorf("unknown -fig %q (want one of %s)", fig, strings.Join(figs, ", "))
+// flags holds the command-line values checkFlags validates.
+type flags struct {
+	fig        string
+	table      int
+	scale      string
+	workloads  string
+	parallel   int
+	epoch      int64
+	epochWl    string
+	invariants int64
+}
+
+// checkFlags rejects every bad flag value before any work starts: an
+// unknown -fig prints nothing, an unknown -table runs the whole
+// evaluation, negative -parallel or -invariants would be dropped as if
+// unset, and a bad -scale, workload label or -epoch would otherwise
+// surface only after tables were printed or runs had started.  It
+// returns the parsed scale and the -workloads subset (nil means all).
+func checkFlags(f flags) (workloads.Scale, []string, error) {
+	if !slices.Contains(figs, f.fig) {
+		return 0, nil, fmt.Errorf("unknown -fig %q (want one of %s)", f.fig, strings.Join(figs, ", "))
 	}
-	if table != 0 && table != 1 && table != 2 {
-		return fmt.Errorf("unknown -table %d (want 1 or 2)", table)
+	if f.table != 0 && f.table != 1 && f.table != 2 {
+		return 0, nil, fmt.Errorf("unknown -table %d (want 1 or 2)", f.table)
 	}
-	if parallel < 0 {
-		return fmt.Errorf("-parallel must be non-negative, got %d", parallel)
+	var sc workloads.Scale
+	switch f.scale {
+	case "tiny":
+		sc = workloads.Tiny
+	case "small":
+		sc = workloads.Small
+	case "default":
+		sc = workloads.Default
+	default:
+		return 0, nil, fmt.Errorf("unknown -scale %q (want tiny, small or default)", f.scale)
 	}
-	if invariants < 0 {
-		return fmt.Errorf("-invariants must be non-negative, got %d", invariants)
+	var only []string
+	if f.workloads != "" {
+		only = strings.Split(f.workloads, ",")
 	}
-	return nil
+	for _, label := range only {
+		if _, err := workloads.ByLabel(label); err != nil {
+			return 0, nil, fmt.Errorf("-workloads: %w", err)
+		}
+	}
+	if _, err := workloads.ByLabel(f.epochWl); err != nil {
+		return 0, nil, fmt.Errorf("-epochbw-workload: %w", err)
+	}
+	if f.parallel < 0 {
+		return 0, nil, fmt.Errorf("-parallel must be non-negative, got %d", f.parallel)
+	}
+	if f.epoch <= 0 {
+		return 0, nil, fmt.Errorf("-epoch must be positive, got %d", f.epoch)
+	}
+	if f.invariants < 0 {
+		return 0, nil, fmt.Errorf("-invariants must be non-negative, got %d", f.invariants)
+	}
+	return sc, only, nil
 }
 
 // usage reports a bad flag value and exits 2.

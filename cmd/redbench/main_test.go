@@ -1,30 +1,46 @@
 package main
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"redcache/internal/workloads"
+)
 
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
-		name       string
-		fig        string
-		table      int
-		parallel   int
-		invariants int64
-		ok         bool
+		name string
+		set  func(*flags)
+		ok   bool
 	}{
-		{"defaults", "all", 0, 0, 0, true},
-		{"every knob set", "ablation", 2, 4, 10000, true},
-		{"unknown fig", "bogus", 0, 0, 0, false},
-		{"empty fig", "", 0, 0, 0, false},
-		{"unknown table", "all", 3, 0, 0, false},
-		{"negative table", "all", -1, 0, 0, false},
-		{"negative parallel", "all", 0, -4, 0, false},
-		{"negative invariants", "all", 0, 0, -7, false},
+		{"defaults", func(*flags) {}, true},
+		{"every knob set", func(f *flags) {
+			f.fig, f.table, f.scale, f.workloads = "ablation", 2, "tiny", "LU,HIST"
+			f.parallel, f.epoch, f.epochWl, f.invariants = 4, 5000, "FT", 10000
+		}, true},
+		{"unknown fig", func(f *flags) { f.fig = "bogus" }, false},
+		{"empty fig", func(f *flags) { f.fig = "" }, false},
+		{"unknown table", func(f *flags) { f.table = 3 }, false},
+		{"negative table", func(f *flags) { f.table = -1 }, false},
+		{"negative parallel", func(f *flags) { f.parallel = -4 }, false},
+		{"negative invariants", func(f *flags) { f.invariants = -7 }, false},
+		{"unknown scale", func(f *flags) { f.scale = "bogus" }, false},
+		{"unknown scale with table", func(f *flags) { f.table, f.scale = 1, "bogus" }, false},
+		{"unknown workload", func(f *flags) { f.workloads = "BOGUS" }, false},
+		{"empty workload label", func(f *flags) { f.workloads = "LU," }, false},
+		{"zero epoch", func(f *flags) { f.fig, f.epoch = "epochbw", 0 }, false},
+		{"unknown epochbw workload", func(f *flags) { f.fig, f.epochWl = "epochbw", "NOPE" }, false},
 	}
 	for _, c := range cases {
-		err := checkFlags(c.fig, c.table, c.parallel, c.invariants)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: checkFlags(%q, %d, %d, %d) = %v, want ok=%v",
-				c.name, c.fig, c.table, c.parallel, c.invariants, err, c.ok)
+		f := flags{fig: "all", scale: "default", epoch: 100000, epochWl: "LU"}
+		c.set(&f)
+		if _, _, err := checkFlags(f); (err == nil) != c.ok {
+			t.Errorf("%s: checkFlags(%+v) = %v, want ok=%v", c.name, f, err, c.ok)
 		}
+	}
+
+	sc, only, err := checkFlags(flags{fig: "all", scale: "tiny", workloads: "LU,HIST", epoch: 1, epochWl: "LU"})
+	if err != nil || sc != workloads.Tiny || !slices.Equal(only, []string{"LU", "HIST"}) {
+		t.Errorf("checkFlags parsed scale %v, workloads %q, err %v; want tiny, [LU HIST], nil", sc, only, err)
 	}
 }

@@ -24,7 +24,10 @@
 // `go tool trace`.
 //
 // Exit status: 0 on success, 1 on a runtime failure (including watchdog
-// and invariant aborts), 2 on a usage error.
+// and invariant aborts), 2 on a usage error (an unknown flag, -workload,
+// -arch or -scale, a negative -cores or -maxcycles, a non-positive
+// -invperiod or -epoch, or -events without -telemetry).  Every flag is
+// checked before the trace is generated.
 package main
 
 import (
@@ -35,6 +38,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rttrace "runtime/trace"
+	"slices"
+	"strings"
 	"time"
 
 	"redcache/internal/config"
@@ -57,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		workload  = fs.String("workload", "LU", "workload label (see redtrace -list)")
-		arch      = fs.String("arch", "RedCache", "architecture: NoHBM, Ideal, Alloy, Bear, Red-Alpha, Red-Gamma, Red-Basic, Red-InSitu, RedCache")
+		arch      = fs.String("arch", "RedCache", "architecture: "+archNames())
 		scale     = fs.String("scale", "default", "problem size: tiny, small or default")
 		seed      = fs.Int64("seed", 1, "workload PRNG seed")
 		cores     = fs.Int("cores", 0, "override core count (0 = config default)")
@@ -83,10 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	cfg := config.Default()
-	if *cores > 0 {
-		cfg.CPU.Cores = *cores
-	}
 	spec, err := workloads.ByLabel(*workload)
 	if err != nil {
 		return usage(err)
@@ -95,14 +96,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
+	if !slices.Contains(hbm.All(), hbm.Arch(*arch)) {
+		return usage(fmt.Errorf("unknown -arch %q (want one of %s)", *arch, archNames()))
+	}
+	if *cores < 0 {
+		return usage(fmt.Errorf("-cores must be non-negative, got %d", *cores))
+	}
 	if *invPeriod <= 0 {
 		return usage(fmt.Errorf("-invperiod must be positive, got %d", *invPeriod))
 	}
 	if *maxCycles < 0 {
 		return usage(fmt.Errorf("-maxcycles must be non-negative, got %d", *maxCycles))
 	}
+	if *epoch <= 0 {
+		return usage(fmt.Errorf("-epoch must be positive, got %d", *epoch))
+	}
 	if *events && *telDir == "" {
 		return usage(fmt.Errorf("-events requires -telemetry"))
+	}
+
+	cfg := config.Default()
+	if *cores > 0 {
+		cfg.CPU.Cores = *cores
 	}
 
 	tr := spec.Gen(cfg.CPU.Cores, sc, *seed)
@@ -207,6 +222,15 @@ func report(w io.Writer, cfg *config.System, spec workloads.Spec, sc workloads.S
 		stats.Fmt(res.Ctl.LastWriteShare()))
 	fmt.Fprintf(w, "energy: HBM cache %.4f J, system %.4f J\n",
 		res.Energy.HBMCache(), res.Energy.System())
+}
+
+// archNames lists the accepted -arch values.
+func archNames() string {
+	var names []string
+	for _, a := range hbm.All() {
+		names = append(names, string(a))
+	}
+	return strings.Join(names, ", ")
 }
 
 func parseScale(s string) (workloads.Scale, error) {

@@ -36,6 +36,9 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-invperiod", "0"},
 		{"-maxcycles", "-1"},
 		{"-events"}, // -events without -telemetry
+		{"-arch", "Nope"},
+		{"-epoch", "0"},
+		{"-cores", "-3"},
 	}
 	for _, args := range cases {
 		code, _, stderr := runCLI(args...)
@@ -57,12 +60,6 @@ func TestRuntimeErrorsExitOne(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "watchdog") {
 		t.Errorf("stderr %q does not name the watchdog", stderr)
-	}
-
-	// Unknown architectures surface through sim.Run's validation.
-	code, _, stderr = runCLI("-scale", "tiny", "-cores", "4", "-arch", "NopeCache")
-	if code != 1 {
-		t.Errorf("unknown arch: exit %d, want 1 (stderr %q)", code, stderr)
 	}
 }
 

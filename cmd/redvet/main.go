@@ -25,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +39,6 @@ func main() {
 	fix := flag.Bool("fix", false, "print suggested fixes under each finding")
 	baselinePath := flag.String("baseline", "redvet.baseline", "baseline file sanctioning legacy findings (\"\" disables; missing file = empty baseline)")
 	proofStats := flag.Bool("proofstats", false, "print discharged proof-obligation counts to stderr after the run")
-	proofStatsOut := flag.String("proofstatsout", "", "also write the proof-obligation counts as JSON to this file")
 	flag.Parse()
 
 	analyzers := lint.All()
@@ -68,21 +66,8 @@ func main() {
 
 	session := lint.NewSession(pkgs)
 	diags := session.Run(analyzers)
-	if *proofStats || *proofStatsOut != "" {
-		ps := session.ProofStats()
-		if *proofStats {
-			fmt.Fprintf(os.Stderr, "redvet proofstats: %s\n", ps)
-		}
-		if *proofStatsOut != "" {
-			data, merr := json.MarshalIndent(ps, "", "\t")
-			if merr == nil {
-				merr = os.WriteFile(*proofStatsOut, append(data, '\n'), 0o644)
-			}
-			if merr != nil {
-				fmt.Fprintln(os.Stderr, "redvet: writing proofstats:", merr)
-				os.Exit(2)
-			}
-		}
+	if *proofStats {
+		fmt.Fprintf(os.Stderr, "redvet proofstats: %s\n", session.ProofStats())
 	}
 
 	var stale []lint.BaselineEntry

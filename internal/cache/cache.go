@@ -231,9 +231,6 @@ func NewHierarchy(n int, l1, l2, l3 config.CacheLevel) *Hierarchy {
 // L1Stats exposes a core's L1 statistics.
 func (h *Hierarchy) L1Stats(core int) *stats.CacheStats { return &h.l1[core].Stats }
 
-// L2Stats exposes a core's L2 statistics.
-func (h *Hierarchy) L2Stats(core int) *stats.CacheStats { return &h.l2[core].Stats }
-
 // L3Stats exposes the shared L3 statistics.
 func (h *Hierarchy) L3Stats() *stats.CacheStats { return &h.l3.Stats }
 

@@ -66,9 +66,6 @@ type DRAMGeometry struct {
 	CapacityB    int64
 }
 
-// Banks returns the total number of banks across the device.
-func (g DRAMGeometry) Banks() int { return g.Channels * g.RanksPerChan * g.BanksPerRank }
-
 // Validate checks geometry consistency.
 func (g DRAMGeometry) Validate() error {
 	if g.Channels <= 0 || g.RanksPerChan <= 0 || g.BanksPerRank <= 0 {

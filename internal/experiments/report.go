@@ -214,14 +214,3 @@ func Fig3Sketch(r Fig3Result, buckets int, w io.Writer) {
 		fmt.Fprintf(w, "  %4d-%-4d |%s\n", lo, hi, strings.Repeat("#", bar))
 	}
 }
-
-// SortedArchNames returns architectures as sorted strings (stable output
-// in reports and tests).
-func SortedArchNames(archs []hbm.Arch) []string {
-	out := make([]string, len(archs))
-	for i, a := range archs {
-		out[i] = string(a)
-	}
-	sort.Strings(out)
-	return out
-}

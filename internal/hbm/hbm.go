@@ -217,17 +217,6 @@ func (t *tagStore) base(e *tagEntry) mem.Addr {
 //redvet:hotpath
 func (t *tagStore) granularity() int { return 1 << t.gShift }
 
-// occupancy counts valid frames (tests).
-func (t *tagStore) occupancy() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
 // deps bundles what every controller needs.
 type deps struct {
 	eng *engine.Engine

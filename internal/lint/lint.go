@@ -310,7 +310,7 @@ type Session struct {
 // session: the //redvet:hotpath annotations whose allocation-freedom
 // noalloc proves.
 type ProofStats struct {
-	Hotpath int `json:"hotpath"`
+	Hotpath int
 }
 
 func (ps ProofStats) String() string {
