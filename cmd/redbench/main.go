@@ -118,7 +118,7 @@ func main() {
 	}
 
 	if want("3") {
-		res, err := suite.Fig3(nil)
+		res, err := suite.Fig3(only)
 		fatalIf(err)
 		fmt.Println("\n== Fig 3: off-chip bandwidth cost vs block reuses (No-HBM) ==")
 		var csv strings.Builder
@@ -279,15 +279,8 @@ func checkFlags(f flags) (workloads.Scale, []string, error) {
 	if f.table != 0 && f.table != 1 && f.table != 2 {
 		return 0, nil, fmt.Errorf("unknown -table %d (want 1 or 2)", f.table)
 	}
-	var sc workloads.Scale
-	switch f.scale {
-	case "tiny":
-		sc = workloads.Tiny
-	case "small":
-		sc = workloads.Small
-	case "default":
-		sc = workloads.Default
-	default:
+	sc, err := workloads.ParseScale(f.scale)
+	if err != nil {
 		return 0, nil, fmt.Errorf("unknown -scale %q (want tiny, small or default)", f.scale)
 	}
 	var only []string

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"slices"
+	"strings"
 	"testing"
 
 	"redcache/internal/workloads"
@@ -42,5 +45,48 @@ func TestCheckFlags(t *testing.T) {
 	sc, only, err := checkFlags(flags{fig: "all", scale: "tiny", workloads: "LU,HIST", epoch: 1, epochWl: "LU"})
 	if err != nil || sc != workloads.Tiny || !slices.Equal(only, []string{"LU", "HIST"}) {
 		t.Errorf("checkFlags parsed scale %v, workloads %q, err %v; want tiny, [LU HIST], nil", sc, only, err)
+	}
+}
+
+// TestMain lets a test run redbench's main in a child process: with
+// REDBENCH_MAIN set, the test binary is redbench.
+func TestMain(m *testing.M) {
+	if os.Getenv("REDBENCH_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runRedbench runs redbench with args in a child process and returns
+// its standard output.
+func runRedbench(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "REDBENCH_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("redbench %v: %v", args, err)
+	}
+	return string(out)
+}
+
+// fig3Panels lists the workload of every Fig 3 sketch in a report.
+func fig3Panels(report string) []string {
+	var out []string
+	for _, line := range strings.Split(report, "\n") {
+		if w, _, ok := strings.Cut(line, " (reuse 0.."); ok && !strings.HasPrefix(line, " ") {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+func TestFig3HonoursWorkloads(t *testing.T) {
+	if got := fig3Panels(runRedbench(t, "-scale", "tiny", "-workloads", "LU", "-fig", "3", "-q")); !slices.Equal(got, []string{"LU"}) {
+		t.Errorf("-workloads LU -fig 3 printed panels %q, want [LU]", got)
+	}
+	if got := fig3Panels(runRedbench(t, "-scale", "tiny", "-fig", "3", "-q")); !slices.Equal(got, []string{"LU", "MG", "RDX", "HIST"}) {
+		t.Errorf("-fig 3 printed panels %q, want the paper's four", got)
 	}
 }

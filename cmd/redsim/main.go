@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	sc, err := parseScale(*scale)
+	sc, err := workloads.ParseScale(*scale)
 	if err != nil {
 		return usage(err)
 	}
@@ -231,18 +231,6 @@ func archNames() string {
 		names = append(names, string(a))
 	}
 	return strings.Join(names, ", ")
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "tiny":
-		return workloads.Tiny, nil
-	case "small":
-		return workloads.Small, nil
-	case "default":
-		return workloads.Default, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (want tiny, small or default)", s)
 }
 
 func printIface(w io.Writer, i *stats.Interface, cycles int64) {

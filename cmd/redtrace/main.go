@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return usage(err)
 		}
-		sc, err := parseScale(*scale)
+		sc, err := workloads.ParseScale(*scale)
 		if err != nil {
 			return usage(err)
 		}
@@ -129,18 +129,6 @@ func writeTrace(path string, tr *trace.Trace) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "tiny":
-		return workloads.Tiny, nil
-	case "small":
-		return workloads.Small, nil
-	case "default":
-		return workloads.Default, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q (want tiny, small or default)", s)
 }
 
 func summarize(w io.Writer, tr *trace.Trace) {

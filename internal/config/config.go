@@ -199,6 +199,10 @@ func (s *System) Validate() error {
 	if s.Red.RCUEntries <= 0 || s.Red.AlphaBufferEnt <= 0 {
 		return errors.New("config: RedCache structure sizes must be positive")
 	}
+	// The RCU's counting filter keeps 8-bit bucket counts.
+	if s.Red.RCUEntries > 255 {
+		return fmt.Errorf("config: RCU CAM holds at most 255 entries, got %d", s.Red.RCUEntries)
+	}
 	if s.Red.AlphaMin > s.Red.AlphaInit || s.Red.AlphaInit > s.Red.AlphaMax {
 		return errors.New("config: need AlphaMin <= AlphaInit <= AlphaMax")
 	}

@@ -113,6 +113,11 @@ func TestValidateCatchesBadSystem(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("zero cores should fail")
 	}
+	s = Default()
+	s.Red.RCUEntries = 256
+	if err := s.Validate(); err == nil {
+		t.Error("an RCU CAM above 255 entries should fail")
+	}
 }
 
 func TestDefaultIsScaledPaper(t *testing.T) {

@@ -132,6 +132,7 @@ type Controller struct {
 	chanShift, chanMask uint64
 	colShift, colMask   uint64
 	bankShift, bankMask uint64
+	rankShift, rankMask uint64 // a bank index's rank and bank-in-rank fields
 	banksPerChan        int
 
 	writeHook WriteHook
@@ -162,6 +163,9 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 	c.banksPerChan = g.RanksPerChan * g.BanksPerRank
 	c.bankShift = log2(c.banksPerChan)
 	c.bankMask = uint64(c.banksPerChan - 1)
+	// Banks per channel is a power of two, so both of its factors are.
+	c.rankShift = log2(g.BanksPerRank)
+	c.rankMask = uint64(g.BanksPerRank - 1)
 
 	c.chans = make([]channel, g.Channels)
 	for i := range c.chans {
@@ -296,11 +300,19 @@ func (c *Controller) Map(addr mem.Addr) Location {
 	row := y >> c.bankShift
 	return Location{
 		Channel: int(ch),
-		Rank:    int(bk) / c.cfg.Geometry.BanksPerRank,
-		Bank:    int(bk) % c.cfg.Geometry.BanksPerRank,
+		Rank:    int(bk >> c.rankShift),
+		Bank:    int(bk & c.rankMask),
 		Row:     int64(row),
 		Col:     int64(col),
 	}
+}
+
+// RowKey packs l's rank, bank and row into one word: two locations on
+// one channel address the same row exactly when their keys are equal.
+//
+//redvet:hotpath
+func (c *Controller) RowKey(l Location) uint64 {
+	return uint64(l.Row)<<c.bankShift | uint64(l.Rank)<<c.rankShift | uint64(l.Bank)
 }
 
 // Read enqueues a read of `bytes` at addr; onDone fires at data return.

@@ -36,8 +36,8 @@ func (c *Controller) CheckInvariants() error {
 }
 
 // check validates one queue of channel chIdx: the queue-order list,
-// every (rank, bank, row) FIFO, and the per-bank hits against the
-// banks' open rows.
+// every (rank, bank, row) FIFO, and the per-bank hits (slot and head
+// seq) against the banks' open rows.
 func (q *rowQueue) check(ch *channel, chIdx int) error {
 	// Queue-order list: linked both ways, push order strictly
 	// increasing, arrivals non-decreasing (pushes happen in time order
@@ -127,6 +127,9 @@ func (q *rowQueue) check(ch *channel, chIdx int) error {
 			}
 			if set := q.hitMask[b>>6]&(1<<(b&63)) != 0; set != (want >= 0) {
 				return fmt.Errorf("bank %d hit mask bit is %v with hit slot %d", b, set, want)
+			}
+			if want >= 0 && q.hitSeq[b] != q.slots[want].head.seq {
+				return fmt.Errorf("bank %d hit head seq is %d, FIFO head has %d", b, q.hitSeq[b], q.slots[want].head.seq)
 			}
 		}
 	}

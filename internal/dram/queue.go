@@ -18,9 +18,10 @@ import (
 //
 // hit[b] is the table slot of the FIFO for bank b's open row, or -1
 // when that bank has no row open or no queued transaction to it;
-// hitMask has bit b set exactly when hit[b] >= 0.  The oldest row hit
-// is the lowest-seq head among the hit FIFOs (seq is the push order,
-// and removal never reorders the rest).
+// hitMask has bit b set exactly when hit[b] >= 0, and hitSeq[b] is then
+// the seq of that FIFO's head.  The oldest row hit is the lowest-seq
+// head among the hit FIFOs (seq is the push order, and removal never
+// reorders the rest).
 //
 // Every removal is a FIFO head pop: on a row hit the scheduler picks a
 // head by construction, and without row hits every transaction to one
@@ -36,6 +37,7 @@ type rowQueue struct {
 	shift uint      // 64 - log2(len(slots)), for Fibonacci hashing
 
 	hit          []int32
+	hitSeq       []uint64
 	hitMask      []uint64
 	bankBits     uint // log2(banks per channel)
 	banksPerRank int
@@ -56,6 +58,7 @@ func (q *rowQueue) init(banksPerChan, banksPerRank int) {
 	q.bankBits = uint(log2(banksPerChan))
 	q.banksPerRank = banksPerRank
 	q.hit = make([]int32, banksPerChan)
+	q.hitSeq = make([]uint64, banksPerChan)
 	q.hitMask = make([]uint64, (banksPerChan+63)/64)
 	q.slots = make([]rowFIFO, minSlots)
 	q.shift = 64 - uint(log2(minSlots))
@@ -96,6 +99,7 @@ func (q *rowQueue) find(key uint64) (int, bool) {
 //redvet:hotpath
 func (q *rowQueue) setHit(b, slot int) {
 	q.hit[b] = int32(slot)
+	q.hitSeq[b] = q.slots[slot].head.seq
 	q.hitMask[b>>6] |= 1 << (b & 63)
 }
 
@@ -196,9 +200,8 @@ func (q *rowQueue) oldestHit() int {
 		for word != 0 {
 			b := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			s := int(q.hit[b])
-			if seq := q.slots[s].head.seq; best < 0 || seq < bestSeq {
-				best, bestSeq = s, seq
+			if seq := q.hitSeq[b]; best < 0 || seq < bestSeq {
+				best, bestSeq = int(q.hit[b]), seq
 			}
 		}
 	}
@@ -238,6 +241,8 @@ func (q *rowQueue) pop(s int) *Txn {
 	q.n--
 	if f.head == nil {
 		q.remove(s)
+	} else if b := int(f.key & (uint64(1)<<q.bankBits - 1)); q.hit[b] == int32(s) {
+		q.hitSeq[b] = f.head.seq
 	}
 	return t
 }

@@ -6,7 +6,6 @@ import (
 	"redcache/internal/config"
 	"redcache/internal/hbm"
 	"redcache/internal/sim"
-	"redcache/internal/trace"
 )
 
 // AblationPoint is one configuration of an ablation sweep.
@@ -21,35 +20,40 @@ type AblationPoint struct {
 
 // ablate runs RedCache across the suite's workloads once per variant,
 // where each variant mutates a copy of the system config, and normalizes
-// to the first variant.  The variant × workload runs share the suite's
-// pool of s.Parallel workers; each writes only its own times[vi][wi]
-// and energies[vi][wi] cell, so the points do not depend on completion
-// order.
+// to the first variant.  The workload × variant runs share the suite's
+// pool of s.Parallel workers in workload-major order, so each trace is
+// generated once and dropped after its last variant; each run writes
+// only its own times[vi][wi] and energies[vi][wi] cell, so the points do
+// not depend on completion order.
 func (s *Suite) ablate(variants []struct {
 	name   string
 	mutate func(sys *systemMutator)
 }) ([]AblationPoint, error) {
 	labels := s.Labels()
-	traces := make([]*trace.Trace, len(labels))
-	for wi, w := range labels {
-		t, err := s.traceFor(w)
-		if err != nil {
-			return nil, err
-		}
-		traces[wi] = t
-	}
 	times := make([][]float64, len(variants))
 	energies := make([][]float64, len(variants))
 	for vi := range variants {
 		times[vi] = make([]float64, len(labels))
 		energies[vi] = make([]float64, len(labels))
 	}
-	err := s.forEach(len(variants)*len(labels), func(i int) error {
-		vi, wi := i/len(labels), i%len(labels)
+	runLabels := make([]string, 0, len(labels)*len(variants))
+	for _, w := range labels {
+		for range variants {
+			runLabels = append(runLabels, w)
+		}
+	}
+	traces := s.newBatchTraces(runLabels)
+	err := s.forEach(len(runLabels), func(i int) error {
+		wi, vi := i/len(variants), i%len(variants)
 		v, w := variants[vi], labels[wi]
+		defer traces.done(w)
+		t, err := traces.get(w)
+		if err != nil {
+			return err
+		}
 		cfg := *s.Sys
 		v.mutate(&systemMutator{sys: &cfg})
-		res, err := sim.Run(&cfg, hbm.ArchRedCache, traces[wi], nil)
+		res, err := sim.Run(&cfg, hbm.ArchRedCache, t, nil)
 		if err != nil {
 			return fmt.Errorf("ablation %s/%s: %w", v.name, w, err)
 		}

@@ -2,9 +2,9 @@
 // evaluation (§II and §IV): the bandwidth-efficiency scatter of Fig 2,
 // the homo-reuse histograms of Fig 3, and the execution-time and energy
 // comparisons of Figs 9-11, plus the §II-C and §III-C statistics quoted
-// in the text.  Runs are memoized so figures sharing (workload,
-// architecture) pairs reuse results, and independent runs execute in
-// parallel.
+// in the text.  Results are memoized so figures sharing (workload,
+// architecture) pairs reuse them, and independent runs execute in
+// parallel; traces live only while a queued run needs them.
 package experiments
 
 import (
@@ -23,7 +23,10 @@ import (
 	"redcache/internal/workloads"
 )
 
-// Suite runs and memoizes simulations for one configuration.
+// Suite runs and memoizes simulations for one configuration.  It keeps
+// results, never traces: a batch of runs generates each workload's
+// trace on first need and drops it when the batch's last run of that
+// workload is done.
 type Suite struct {
 	Sys      *config.System
 	Scale    workloads.Scale
@@ -40,7 +43,6 @@ type Suite struct {
 	MaxCycles int64
 
 	mu      sync.Mutex
-	traces  map[string]*trace.Trace
 	results map[runKey]*sim.Result
 }
 
@@ -68,22 +70,70 @@ func (s *Suite) Labels() []string {
 	return workloads.Labels()
 }
 
-func (s *Suite) traceFor(label string) (*trace.Trace, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.traces == nil {
-		s.traces = make(map[string]*trace.Trace)
-	}
-	if t, ok := s.traces[label]; ok {
-		return t, nil
-	}
+// generate builds one workload's trace.  Tests replace it to count and
+// watch the traces a Suite makes.
+var generate = func(spec workloads.Spec, cores int, sc workloads.Scale, seed int64) *trace.Trace {
+	return spec.Gen(cores, sc, seed)
+}
+
+// genTrace generates label's trace for the suite's configuration.  The
+// caller owns it; the Suite keeps no reference.
+func (s *Suite) genTrace(label string) (*trace.Trace, error) {
 	spec, err := workloads.ByLabel(label)
 	if err != nil {
 		return nil, err
 	}
-	t := spec.Gen(s.Sys.CPU.Cores, s.Scale, s.Seed)
-	s.traces[label] = t
-	return t, nil
+	return generate(spec, s.Sys.CPU.Cores, s.Scale, s.Seed), nil
+}
+
+// batchTraces lends workload traces to the runs of one batch.  A trace
+// is generated when the first of its runs asks for it and dropped when
+// the last one is done, so a batch whose runs are workload-major holds
+// at most Parallel+1 traces at once.
+type batchTraces struct {
+	s    *Suite
+	refs map[string]*traceRef // read-only once the batch starts
+	mu   sync.Mutex           // guards every traceRef's users and its drop
+}
+
+type traceRef struct {
+	once  sync.Once
+	t     *trace.Trace
+	err   error
+	users int // runs of the batch not yet done with the trace
+}
+
+// newBatchTraces registers one use per entry of labels (one per run).
+func (s *Suite) newBatchTraces(labels []string) *batchTraces {
+	b := &batchTraces{s: s, refs: make(map[string]*traceRef)}
+	for _, l := range labels {
+		r := b.refs[l]
+		if r == nil {
+			r = &traceRef{}
+			b.refs[l] = r
+		}
+		r.users++
+	}
+	return b
+}
+
+// get returns label's trace, generating it on first use.  Generation
+// holds no Suite lock, so other workers keep storing results meanwhile.
+func (b *batchTraces) get(label string) (*trace.Trace, error) {
+	r := b.refs[label]
+	r.once.Do(func() { r.t, r.err = b.s.genTrace(label) })
+	return r.t, r.err
+}
+
+// done releases one run's use of label's trace; the last release drops
+// it.  Every registered run calls done exactly once, used or not.
+func (b *batchTraces) done(label string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := b.refs[label]
+	if r.users--; r.users == 0 {
+		r.t = nil
+	}
 }
 
 // Result returns the memoized result for one run, simulating on demand.
@@ -93,25 +143,30 @@ func (s *Suite) Result(label string, arch hbm.Arch) (*sim.Result, error) {
 
 func (s *Suite) resultG(label string, arch hbm.Arch, gran int) (*sim.Result, error) {
 	key := runKey{label, arch, gran}
-	s.mu.Lock()
-	if s.results == nil {
-		s.results = make(map[runKey]*sim.Result)
-	}
-	if r, ok := s.results[key]; ok {
-		s.mu.Unlock()
+	if r := s.memoized(key); r != nil {
 		return r, nil
 	}
-	s.mu.Unlock()
-
-	t, err := s.traceFor(label)
+	t, err := s.genTrace(label)
 	if err != nil {
 		return nil, err
 	}
+	return s.simulate(key, t)
+}
+
+// memoized returns key's result, or nil when it has not run yet.
+func (s *Suite) memoized(key runKey) *sim.Result {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.results[key]
+}
+
+// simulate runs key on t and memoizes the result.
+func (s *Suite) simulate(key runKey, t *trace.Trace) (*sim.Result, error) {
 	cfg := *s.Sys // shallow copy; granularity differs per run
-	cfg.Granularity = gran
-	res, err := sim.Run(&cfg, arch, t, s.runOpts())
+	cfg.Granularity = key.granularity
+	res, err := sim.Run(&cfg, key.arch, t, s.runOpts())
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", label, arch, err)
+		return nil, fmt.Errorf("%s/%s: %w", key.workload, key.arch, err)
 	}
 	s.mu.Lock()
 	if prior, ok := s.results[key]; ok {
@@ -121,10 +176,13 @@ func (s *Suite) resultG(label string, arch hbm.Arch, gran int) (*sim.Result, err
 		s.mu.Unlock()
 		return prior, nil
 	}
+	if s.results == nil {
+		s.results = make(map[runKey]*sim.Result)
+	}
 	s.results[key] = res
 	s.mu.Unlock()
 	if s.Progress != nil {
-		s.Progress(fmt.Sprintf("done %s/%s (gran %dB): %d cycles", label, arch, gran, res.Cycles))
+		s.Progress(fmt.Sprintf("done %s/%s (gran %dB): %d cycles", key.workload, key.arch, key.granularity, res.Cycles))
 	}
 	return res, nil
 }
@@ -139,33 +197,53 @@ func (s *Suite) runOpts() *sim.Options {
 }
 
 // runAll executes the given runs, bounded by s.Parallel workers, and
-// returns the first error in key order.
+// returns the first error in key order.  Keys must be workload-major
+// for the batch to hold at most Parallel+1 traces; a workload whose
+// runs are all memoized is never generated.
 func (s *Suite) runAll(keys []runKey) error {
+	labels := make([]string, len(keys))
+	for i, k := range keys {
+		labels[i] = k.workload
+	}
+	traces := s.newBatchTraces(labels)
 	return s.forEach(len(keys), func(i int) error {
 		k := keys[i]
-		_, err := s.resultG(k.workload, k.arch, k.granularity)
+		defer traces.done(k.workload)
+		if s.memoized(k) != nil {
+			return nil
+		}
+		t, err := traces.get(k.workload)
+		if err != nil {
+			return err
+		}
+		_, err = s.simulate(k, t)
 		return err
 	})
 }
 
-// forEach calls fn(0), …, fn(n-1) on at most s.Parallel goroutines and
-// returns the error of the lowest index that failed.  Each fn must
-// publish its result by its index (or into the runKey memo), never in
+// forEach calls fn(0), …, fn(n-1) on min(s.Parallel, n) workers, which
+// take the indices in order, and returns the error of the lowest index
+// that failed.  Every index runs, failed or not.  Each fn must publish
+// its result by its index (or into the runKey memo), never in
 // completion order.
 func (s *Suite) forEach(n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	sem := make(chan struct{}, max(s.Parallel, 1))
+	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := range errs {
+	for range min(max(s.Parallel, 1), n) {
 		wg.Add(1)
-		//redvet:detsafe — harness fan-out only: each worker runs an isolated simulation and publishes by index or into the runKey-keyed memo; consumers read in their own deterministic order, so scheduling never reaches reported bytes
+		//redvet:detsafe — harness fan-out only: each worker runs isolated simulations and publishes by index or into the runKey-keyed memo; consumers read in their own deterministic order, so scheduling never reaches reported bytes
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = fn(i)
+			for i := range next {
+				errs[i] = fn(i)
+			}
 		}()
 	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
 	//redvet:detsafe — barrier only: every post-Wait read walks indices or fixed config lists, not completion order
 	wg.Wait()
 	for _, err := range errs {
@@ -395,7 +473,7 @@ func (s *Suite) Fig3(labels []string) ([]Fig3Result, error) {
 	}
 	var out []Fig3Result
 	for _, w := range labels {
-		t, err := s.traceFor(w)
+		t, err := s.genTrace(w)
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ import (
 // memoized figure results (those simulate without telemetry), and the
 // output is byte-deterministic.
 func (s *Suite) EpochBandwidthCSV(label string, arch hbm.Arch, epoch int64) (string, error) {
-	t, err := s.traceFor(label)
+	t, err := s.genTrace(label)
 	if err != nil {
 		return "", err
 	}

@@ -51,9 +51,10 @@ func (c *red) CheckInvariants() error {
 }
 
 // check validates the RCU CAM: bounded occupancy, block-aligned unique
-// addresses, location tags consistent with the address mapping, and
-// every pending block resident in tags (eviction and invalidation drop
-// a block's entry before its frame goes).
+// addresses, location tags consistent with the address mapping, every
+// pending block resident in tags (eviction and invalidation drop a
+// block's entry before its frame goes), and a counting filter that
+// counts exactly the entries.
 func (r *rcuManager) check(tags *tagStore) error {
 	if len(r.entries) > r.cap {
 		return fmt.Errorf("hbm: RCU CAM holds %d entries, above capacity %d", len(r.entries), r.cap)
@@ -63,7 +64,7 @@ func (r *rcuManager) check(tags *tagStore) error {
 		if e.addr != e.addr.Align() {
 			return fmt.Errorf("hbm: RCU entry %d address %#x not block-aligned", i, uint64(e.addr))
 		}
-		if e.loc != r.hbm.Map(e.addr) {
+		if loc := r.hbm.Map(e.addr); e.row != r.hbm.RowKey(loc) || e.ch != loc.Channel {
 			return fmt.Errorf("hbm: RCU entry %d location tag inconsistent with mapping of %#x",
 				i, uint64(e.addr))
 		}
@@ -75,6 +76,13 @@ func (r *rcuManager) check(tags *tagStore) error {
 				return fmt.Errorf("hbm: RCU CAM holds duplicate entries for %#x", uint64(e.addr))
 			}
 		}
+	}
+	var filter [256]uint8
+	for i := range r.entries {
+		filter[rcuBucket(r.entries[i].addr)]++
+	}
+	if filter != r.filter {
+		return fmt.Errorf("hbm: RCU counting filter disagrees with the %d CAM entries", len(r.entries))
 	}
 	return nil
 }

@@ -24,9 +24,13 @@ import (
 // Demand writes to a queued block persist its count for free (the write
 // rewrites the whole TAD anyway), and because the RAM holds the 32 most
 // recently read blocks it doubles as a tiny block cache.
+//
+// An entry keeps its block's DRAM row as the controller's packed row key
+// plus the channel: all that the same-row and same-channel tests read.
 type rcuEntry struct {
 	addr  mem.Addr
-	loc   dram.Location
+	row   uint64 // dram.Controller.RowKey of the block's location
+	ch    int
 	count uint8
 }
 
@@ -38,7 +42,11 @@ type rcuManager struct {
 	hbm     *dram.Controller
 	cap     int
 	entries []rcuEntry // FIFO by last touch, oldest first
-	st      *RCUStats
+	// filter counts the entries per address bucket; a zero bucket
+	// proves a block absent without scanning the CAM.  A bucket holds
+	// at most cap <= 255 entries (config.Validate), so it never wraps.
+	filter [256]uint8
+	st     *RCUStats
 	// persist applies a flushed count to the controller's tag state (the
 	// simulator's stand-in for DRAM contents).
 	persist func(addr mem.Addr, count uint8)
@@ -59,10 +67,21 @@ func newRCUManager(hbm *dram.Controller, capacity int, st *RCUStats,
 //redvet:hotpath
 func (r *rcuManager) Len() int { return len(r.entries) }
 
+// rcuBucket is addr's counting-filter bucket (Fibonacci hash of the
+// block index).
+//
+//redvet:hotpath
+func rcuBucket(addr mem.Addr) uint8 {
+	return uint8((uint64(addr) >> mem.BlockShift) * 0x9e3779b97f4a7c15 >> 56)
+}
+
 // find returns the index of addr's entry, or -1.
 //
 //redvet:hotpath
 func (r *rcuManager) find(addr mem.Addr) int {
+	if r.filter[rcuBucket(addr)] == 0 {
+		return -1
+	}
 	for i := range r.entries {
 		if r.entries[i].addr == addr {
 			return i
@@ -89,6 +108,7 @@ func (r *rcuManager) put(addr mem.Addr, count uint8) {
 	if len(r.entries) >= r.cap {
 		r.st.Dropped++
 		r.tr.Emit(obs.EvRCUOverflow, uint64(r.entries[0].addr), int64(r.entries[0].count), 0)
+		r.filter[rcuBucket(r.entries[0].addr)]--
 		copy(r.entries, r.entries[1:])
 		r.entries = r.entries[:len(r.entries)-1]
 	}
@@ -97,7 +117,9 @@ func (r *rcuManager) put(addr mem.Addr, count uint8) {
 	// capacity and the overflow branch above guarantees room.
 	n := len(r.entries)
 	r.entries = r.entries[:n+1]
-	r.entries[n] = rcuEntry{addr: addr, loc: r.hbm.Map(addr), count: count}
+	loc := r.hbm.Map(addr)
+	r.entries[n] = rcuEntry{addr: addr, row: r.hbm.RowKey(loc), ch: loc.Channel, count: count}
+	r.filter[rcuBucket(addr)]++
 	r.tr.Emit(obs.EvRCUEnqueue, uint64(addr), int64(count), int64(len(r.entries)))
 }
 
@@ -117,16 +139,28 @@ func (r *rcuManager) lookup(addr mem.Addr) (count uint8, ok bool) {
 //
 //redvet:hotpath
 func (r *rcuManager) onWrite(loc dram.Location) int {
+	row := r.hbm.RowKey(loc)
+	first := -1
+	for i := range r.entries {
+		if e := &r.entries[i]; e.row == row && e.ch == loc.Channel {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return 0
+	}
 	// In-place index filter (compacts survivors to the front); the
 	// equivalent kept/append idiom cannot be statically proven
 	// non-growing even though it never grows.
-	n, k := 0, 0
-	for i := range r.entries {
+	n, k := 0, first
+	for i := first; i < len(r.entries); i++ {
 		e := r.entries[i]
-		if e.loc.SameRow(loc) {
+		if e.row == row && e.ch == loc.Channel {
 			n++
 			r.st.Piggyback++
 			r.tr.Emit(obs.EvRCUPiggyback, uint64(e.addr), int64(e.count), 0)
+			r.filter[rcuBucket(e.addr)]--
 			r.persist(e.addr, e.count)
 			continue
 		}
@@ -152,9 +186,10 @@ func (r *rcuManager) onIdle(ch int) {
 	k := 0
 	for i := range r.entries {
 		e := r.entries[i]
-		if budget > 0 && e.loc.Channel == ch {
+		if budget > 0 && e.ch == ch {
 			r.st.IdleFlush++
 			r.tr.Emit(obs.EvRCUIdleFlush, uint64(e.addr), int64(e.count), 0)
+			r.filter[rcuBucket(e.addr)]--
 			r.persist(e.addr, e.count)
 			r.hbm.Write(e.addr, rcUpdateBytes, nil)
 			budget--
@@ -174,6 +209,7 @@ func (r *rcuManager) onIdle(ch int) {
 func (r *rcuManager) dropBlock(addr mem.Addr) (count uint8, ok bool) {
 	if i := r.find(addr.Align()); i >= 0 {
 		count = r.entries[i].count
+		r.filter[rcuBucket(r.entries[i].addr)]--
 		copy(r.entries[i:], r.entries[i+1:])
 		r.entries = r.entries[:len(r.entries)-1]
 		r.st.Merged++
@@ -190,4 +226,5 @@ func (r *rcuManager) drain() {
 		r.hbm.Write(e.addr, rcUpdateBytes, nil)
 	}
 	r.entries = r.entries[:0]
+	r.filter = [256]uint8{}
 }

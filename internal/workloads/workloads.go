@@ -39,6 +39,16 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale is the inverse of String.
+func ParseScale(s string) (Scale, error) {
+	for _, sc := range []Scale{Tiny, Small, Default} {
+		if s == sc.String() {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny, small or default)", s)
+}
+
 // Spec describes one benchmark from Table II.
 type Spec struct {
 	Label string // short name used in the figures (e.g. "LU")

@@ -205,4 +205,14 @@ func TestScaleString(t *testing.T) {
 	if Tiny.String() != "tiny" || Small.String() != "small" || Default.String() != "default" {
 		t.Error("Scale strings changed")
 	}
+	for _, sc := range []Scale{Tiny, Small, Default} {
+		if got, err := ParseScale(sc.String()); err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", sc.String(), got, err, sc)
+		}
+	}
+	for _, bad := range []string{"", "huge", "Tiny", "default "} {
+		if _, err := ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) accepted an unknown scale", bad)
+		}
+	}
 }
