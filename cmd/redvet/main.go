@@ -1,12 +1,13 @@
 // Command redvet runs the repository's domain-specific static-analysis
 // suite: the analyzers in internal/lint that machine-check the
 // simulator's determinism, unit and allocation contracts (see
-// DESIGN.md, "Determinism contract & static analysis").  detsched
-// proves the sim core free of scheduling nondeterminism, fporder pins
-// the iteration order of float reductions, noalloc proves
-// //redvet:hotpath functions allocation-free, and nowallclock keeps the
-// "time" package out of every package but the commands.  -proofstats
-// reports the discharged hotpath obligation count.
+// DESIGN.md, "Determinism contract & static analysis").  detmaprange
+// keeps map iteration order out of simulator state and emitted output
+// (unsorted gathers included), nowallclock keeps the "time" package out
+// of every package but the commands, cycleunits keeps cycle values
+// int64, and noalloc proves //redvet:hotpath functions
+// allocation-free.  -proofstats reports the discharged hotpath
+// obligation count.
 //
 // Usage:
 //

@@ -232,7 +232,10 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	for range min(max(s.Parallel, 1), n) {
 		wg.Add(1)
-		//redvet:detsafe — harness fan-out only: each worker runs isolated simulations and publishes by index or into the runKey-keyed memo; consumers read in their own deterministic order, so scheduling never reaches reported bytes
+		// Harness fan-out only: each worker runs isolated simulations
+		// and publishes by index or into the runKey-keyed memo;
+		// consumers read in their own deterministic order, so
+		// scheduling never reaches reported bytes.
 		go func() {
 			defer wg.Done()
 			for i := range next {
@@ -244,7 +247,8 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 		next <- i
 	}
 	close(next)
-	//redvet:detsafe — barrier only: every post-Wait read walks indices or fixed config lists, not completion order
+	// Barrier only: every post-Wait read walks indices or fixed config
+	// lists, not completion order.
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -483,9 +487,10 @@ func (s *Suite) Fig3(labels []string) ([]Fig3Result, error) {
 			DDRObserver: func(txn *dram.Txn, rowHit bool, cycles int64) {
 				// Deliberate cross-component attribution: the Fig 3
 				// harness charges exact DDR bus cycles to its own
-				// histogram.  Deterministic because the engine fires
-				// events single-threaded in (cycle, seq) order.
-				hist.Observe(uint64(txn.Addr.Block()), cycles) //redvet:statshook — Fig 3 harness owns this histogram; the DDR observer is the only writer and events fire single-threaded
+				// histogram.  The DDR observer is its only writer, and
+				// it is deterministic because the engine fires events
+				// single-threaded in (cycle, seq) order.
+				hist.Observe(uint64(txn.Addr.Block()), cycles)
 			},
 		}
 		cfg := *s.Sys

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -201,6 +202,45 @@ func TestFig3Sketch(t *testing.T) {
 	Fig3Sketch(Fig3Result{Workload: "Y"}, 4, &sb)
 	if !strings.Contains(sb.String(), "no off-chip traffic") {
 		t.Fatal("empty sketch should say so")
+	}
+}
+
+// TestFig3SketchRangesTile checks the row labels: every row's range is
+// non-empty (lo <= hi), the rows tile 0..maxReuse in order, and no more
+// rows are drawn than there are reuse counts — also when the reuse range
+// is narrower than the requested bucket count.
+func TestFig3SketchRangesTile(t *testing.T) {
+	for _, c := range []struct {
+		maxReuse int64
+		buckets  int
+	}{{0, 12}, {1, 12}, {5, 12}, {11, 12}, {12, 12}, {100, 12}, {5, 4}} {
+		var sb strings.Builder
+		Fig3Sketch(Fig3Result{Workload: "W", Groups: []stats.Group{
+			{Reuses: 0, BlockCount: 1, Cost: 10},
+			{Reuses: c.maxReuse, BlockCount: 1, Cost: 20},
+		}}, c.buckets, &sb)
+		lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")[1:]
+		if want := min(int64(c.buckets), c.maxReuse+1); int64(len(lines)) != want {
+			t.Errorf("maxReuse %d, %d buckets: %d rows, want %d:\n%s",
+				c.maxReuse, c.buckets, len(lines), want, sb.String())
+			continue
+		}
+		next := int64(0)
+		for _, l := range lines {
+			var lo, hi int64
+			if _, err := fmt.Sscanf(strings.TrimSpace(l), "%d-%d", &lo, &hi); err != nil {
+				t.Fatalf("unparsable row %q: %v", l, err)
+			}
+			if lo != next || hi < lo {
+				t.Errorf("maxReuse %d, %d buckets: row %q, want a range starting at %d with lo <= hi:\n%s",
+					c.maxReuse, c.buckets, l, next, sb.String())
+				break
+			}
+			next = hi + 1
+		}
+		if next != c.maxReuse+1 {
+			t.Errorf("maxReuse %d, %d buckets: rows end at %d, want %d", c.maxReuse, c.buckets, next-1, c.maxReuse)
+		}
 	}
 }
 

@@ -184,20 +184,20 @@ func (t *TextStats) WriteTable(w io.Writer) {
 }
 
 // Fig3Sketch renders an ASCII sketch of a homo-reuse histogram: cost per
-// reuse bucket, normalized to the tallest bucket.
+// reuse bucket, normalized to the tallest bucket.  It draws at most
+// buckets rows and never more than one per reuse count, so the rows'
+// ranges tile 0..maxReuse with no empty or inverted range.
 func Fig3Sketch(r Fig3Result, buckets int, w io.Writer) {
 	if len(r.Groups) == 0 {
 		fmt.Fprintf(w, "%s: no off-chip traffic observed\n", r.Workload)
 		return
 	}
 	maxReuse := r.Groups[len(r.Groups)-1].Reuses
-	if maxReuse < 1 {
-		maxReuse = 1
-	}
-	agg := make([]int64, buckets)
+	n := min(int64(buckets), maxReuse+1)
+	agg := make([]int64, n)
 	for _, g := range r.Groups {
-		// Index with the int64 cycle math directly; no narrowing.
-		agg[g.Reuses*int64(buckets)/(maxReuse+1)] += g.Cost
+		// Index with the int64 math directly; no narrowing.
+		agg[g.Reuses*n/(maxReuse+1)] += g.Cost
 	}
 	var peak int64 = 1
 	for _, v := range agg {
@@ -209,8 +209,8 @@ func Fig3Sketch(r Fig3Result, buckets int, w io.Writer) {
 		r.Workload, maxReuse, 100*r.PeakShare)
 	for i, v := range agg {
 		bar := int(v * 40 / peak) //redvet:units — v <= peak, so the bar is bounded to [0,40]
-		lo := int64(i) * (maxReuse + 1) / int64(buckets)
-		hi := int64(i+1)*(maxReuse+1)/int64(buckets) - 1
+		lo := int64(i) * (maxReuse + 1) / n
+		hi := int64(i+1)*(maxReuse+1)/n - 1
 		fmt.Fprintf(w, "  %4d-%-4d |%s\n", lo, hi, strings.Repeat("#", bar))
 	}
 }

@@ -71,14 +71,16 @@ func TestBaselineFilterAndStale(t *testing.T) {
 	}
 }
 
-// TestBaselineV3Analyzers checks that baseline entries for the v3
-// determinism analyzers round-trip through Filter like any other, and
-// that an entry left behind after the finding is fixed surfaces as
-// stale rather than silently sanctioning future regressions.
+// TestBaselineV3Analyzers checks that baseline entries for the
+// determinism analyzers (detmaprange, which also carries the v3
+// gather-order rule, and nowallclock) round-trip through Filter like
+// any other, and that an entry left behind after the finding is fixed
+// surfaces as stale rather than silently sanctioning future
+// regressions.
 func TestBaselineV3Analyzers(t *testing.T) {
-	doc := `{"analyzer":"detsched","file":"internal/experiments/experiments.go","message":"go statement: goroutine interleaving is scheduler-chosen, not (at, seq)-ordered","justification":"harness fan-out, replaced by detsafe annotation"}
-{"analyzer":"detsched","file":"internal/sim/sim.go","message":"select over multiple channels: the runtime picks a ready case at random","justification":"transitional watchdog select, removed with the run-loop rewrite"}
-{"analyzer":"fporder","file":"internal/stats/stats.go","message":"reduces xs in nondeterministic order into a float accumulator; sort it first or annotate //redvet:fporder with a justification","justification":"legacy reducer, sorted upstream since v2"}
+	doc := `{"analyzer":"detmaprange","file":"internal/experiments/report.go","message":"range over map t.LastWriteShare has nondeterministic order; sort the keys first or annotate //redvet:ordered with a justification","justification":"legacy emitter, replaced by Rows"}
+{"analyzer":"nowallclock","file":"internal/hbm/bear.go","message":"rand.Float64 uses the global random generator; build a seeded generator with rand.New(rand.NewSource(seed)) so runs are reproducible","justification":"transitional sampler, replaced by the seeded rng"}
+{"analyzer":"detmaprange","file":"internal/stats/stats.go","message":"range over map agg has nondeterministic order; sort the keys first or annotate //redvet:ordered with a justification","justification":"legacy group emitter, sorted since v2"}
 `
 	b, err := ParseBaseline([]byte(doc))
 	if err != nil {
@@ -88,23 +90,23 @@ func TestBaselineV3Analyzers(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
 	ds := []Diagnostic{
-		diag("detsched", "/repo/internal/experiments/experiments.go",
-			"go statement: goroutine interleaving is scheduler-chosen, not (at, seq)-ordered"),
-		diag("fporder", "/repo/internal/dram/dram.go", "a brand new v3 finding"),
+		diag("detmaprange", "/repo/internal/experiments/report.go",
+			"range over map t.LastWriteShare has nondeterministic order; sort the keys first or annotate //redvet:ordered with a justification"),
+		diag("nowallclock", "/repo/internal/dram/dram.go", "a brand new v3 finding"),
 	}
 	kept, stale := b.Filter("/repo", ds)
 	if len(kept) != 1 || kept[0].Message != "a brand new v3 finding" {
-		t.Fatalf("kept = %v, want only the unsanctioned fporder finding", kept)
+		t.Fatalf("kept = %v, want only the unsanctioned nowallclock finding", kept)
 	}
 	if len(stale) != 2 {
-		t.Fatalf("stale = %v, want the fixed detsched and fporder entries", stale)
+		t.Fatalf("stale = %v, want the fixed nowallclock and stats.go detmaprange entries", stale)
 	}
 	staleAnalyzers := map[string]bool{}
 	for _, s := range stale {
 		staleAnalyzers[s.Analyzer] = true
 	}
-	if !staleAnalyzers["detsched"] || !staleAnalyzers["fporder"] {
-		t.Fatalf("stale analyzers = %v, want detsched and fporder", staleAnalyzers)
+	if !staleAnalyzers["detmaprange"] || !staleAnalyzers["nowallclock"] {
+		t.Fatalf("stale analyzers = %v, want detmaprange and nowallclock", staleAnalyzers)
 	}
 }
 

@@ -22,23 +22,28 @@ import (
 //     commutative, so iteration order cannot change the result (float
 //     accumulation is NOT exempt: float addition is order-dependent);
 //   - or it only collects keys/values with `s = append(s, x)`, the
-//     standard gather-then-sort idiom (the caller must sort before any
-//     order-dependent use, which the fixture and code review enforce).
+//     gather-then-sort idiom, and s is passed to a sort.* or
+//     slices.Sort* call somewhere in the same function (FuncDecl or
+//     FuncLit).  A gather that is never sorted carries map order into
+//     whatever consumes it: an emitted row order, or a float reduction
+//     whose rounding depends on the order of its terms.
 //
 // Anything else needs keys sorted before iteration, or a justified
 // `//redvet:ordered` annotation.
 var DetMapRange = &Analyzer{
 	Name:      "detmaprange",
-	Doc:       "flags nondeterministic map iteration in deterministic simulator packages",
+	Doc:       "flags map iteration whose order can reach simulator state, reports or float reductions (unsorted gathers included)",
 	Directive: "ordered",
 	Scope: func(path string) bool {
-		return !strings.HasPrefix(path, "redcache/internal/lint")
+		return !strings.HasPrefix(path, "redcache/internal/lint") ||
+			strings.HasPrefix(path, "redcache/internal/lint/testdata/src/detmaprange")
 	},
 	Run: runDetMapRange,
 }
 
 func runDetMapRange(pass *Pass) {
-	inspect(pass, func(n ast.Node, _ []ast.Node) bool {
+	sorted := make(map[ast.Node]map[types.Object]bool) // per enclosing function
+	inspect(pass, func(n ast.Node, stack []ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
@@ -46,7 +51,11 @@ func runDetMapRange(pass *Pass) {
 		if !isMapType(pass, rs.X) {
 			return true
 		}
-		if orderInsensitiveBody(pass, rs.Body) {
+		fn := enclosingFunc(stack)
+		if sorted[fn] == nil {
+			sorted[fn] = sortedVars(pass, fn)
+		}
+		if orderInsensitiveBody(pass, rs.Body, sorted[fn]) {
 			return true
 		}
 		pass.ReportFix(rs.For, gatherSortFix(pass, rs),
@@ -97,9 +106,60 @@ func isMapType(pass *Pass, x ast.Expr) bool {
 	return ok
 }
 
+// enclosingFunc returns the innermost FuncLit or FuncDecl on stack; a
+// range statement always has one.
+func enclosingFunc(stack []ast.Node) ast.Node {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch stack[i].(type) {
+		case *ast.FuncLit, *ast.FuncDecl:
+			return stack[i]
+		}
+	}
+	return nil
+}
+
+// sortedVars returns the variables passed as the first argument of a
+// sort.* or slices.Sort* call anywhere in fn.  The check is
+// flow-insensitive: a sort before the gather also counts.
+func sortedVars(pass *Pass, fn ast.Node) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	ast.Inspect(fn, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 || !isSortCall(pass, call) {
+			return true
+		}
+		if id, ok := unparen(call.Args[0]).(*ast.Ident); ok {
+			if obj := pass.Info.Uses[id]; obj != nil {
+				out[obj] = true
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// isSortCall reports whether call sorts its first argument in place.
+func isSortCall(pass *Pass, call *ast.CallExpr) bool {
+	fn := staticCallee(pass.Info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "sort":
+		switch fn.Name() {
+		case "Slice", "SliceStable", "Sort", "Stable", "Ints", "Float64s", "Strings":
+			return true
+		}
+	case "slices":
+		return strings.HasPrefix(fn.Name(), "Sort")
+	}
+	return false
+}
+
 // orderInsensitiveBody reports whether every statement in the loop body
-// is a commutative integer accumulation or a bare append-gather.
-func orderInsensitiveBody(pass *Pass, body *ast.BlockStmt) bool {
+// is a commutative integer accumulation or an append-gather into a
+// variable in sorted.
+func orderInsensitiveBody(pass *Pass, body *ast.BlockStmt, sorted map[types.Object]bool) bool {
 	if body == nil || len(body.List) == 0 {
 		return true // `for range m {}` or key-only counting
 	}
@@ -109,7 +169,7 @@ func orderInsensitiveBody(pass *Pass, body *ast.BlockStmt) bool {
 		case *ast.IncDecStmt:
 			return isIntegerType(pass.Info.TypeOf(s.X))
 		case *ast.AssignStmt:
-			return commutativeAssign(pass, s) || appendGather(s)
+			return commutativeAssign(pass, s) || appendGather(pass, s, sorted)
 		case *ast.IfStmt:
 			if s.Init != nil && !ok(s.Init) {
 				return false
@@ -158,8 +218,9 @@ func commutativeAssign(pass *Pass, s *ast.AssignStmt) bool {
 	return true
 }
 
-// appendGather matches the key-collection idiom `s = append(s, ...)`.
-func appendGather(s *ast.AssignStmt) bool {
+// appendGather matches the key-collection idiom `s = append(s, ...)`
+// where s is in sorted.
+func appendGather(pass *Pass, s *ast.AssignStmt, sorted map[types.Object]bool) bool {
 	if s.Tok != token.ASSIGN || len(s.Lhs) != 1 || len(s.Rhs) != 1 {
 		return false
 	}
@@ -176,5 +237,5 @@ func appendGather(s *ast.AssignStmt) bool {
 		return false
 	}
 	first, ok := call.Args[0].(*ast.Ident)
-	return ok && first.Name == lhs.Name
+	return ok && first.Name == lhs.Name && sorted[pass.Info.Uses[lhs]]
 }

@@ -47,21 +47,6 @@ type FuncFacts struct {
 	// Hotpath records the //redvet:hotpath annotation, so runtime-guard
 	// agreement tests and cross-package diagnostics can see it.
 	Hotpath bool
-
-	// Nondet, when non-empty, says why the detsched analyzer considers
-	// this function scheduling-nondeterministic ("go statement", "calls
-	// pkg.F (go statement)", ...).  Empty means statically proven to
-	// order all simulated-time effects through the engine's (at, seq)
-	// total order.
-	Nondet string
-
-	// UnorderedReturn marks result i as a slice whose element order is
-	// not deterministic (gathered from a map range and never sorted).
-	UnorderedReturn []bool
-	// FloatReduceParam marks parameter i as a slice the function reduces
-	// into a float accumulator in iteration order — passing an unordered
-	// slice makes the result order-dependent (fporder).
-	FloatReduceParam []bool
 }
 
 // FactStore is the session-wide cross-package fact database: per
@@ -88,17 +73,8 @@ func (s *FactStore) pkg(pkgPath string) map[string]*FuncFacts {
 // "(pkg.T).M" or "(*pkg.T).M").
 func FuncKey(fn *types.Func) string { return fn.FullName() }
 
-// SetFunc records facts for fn.
-func (s *FactStore) SetFunc(fn *types.Func, ff *FuncFacts) {
-	if fn.Pkg() == nil {
-		return // builtins like error.Error have no package
-	}
-	s.pkg(fn.Pkg().Path())[FuncKey(fn)] = ff
-}
-
 // EnsureFunc returns the (mutable) facts for fn, creating an empty
-// record on first use.  Analyzers each own disjoint fields of
-// FuncFacts, so they merge through this instead of SetFunc.
+// record on first use.
 func (s *FactStore) EnsureFunc(fn *types.Func) *FuncFacts {
 	if fn.Pkg() == nil {
 		return &FuncFacts{} // detached scratch record

@@ -49,9 +49,7 @@ func goldenJSON(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
-func TestGoldenJSONNoAlloc(t *testing.T)  { goldenJSON(t, NoAlloc, "noalloc") }
-func TestGoldenJSONDetSched(t *testing.T) { goldenJSON(t, DetSched, "detsched") }
-func TestGoldenJSONFPOrder(t *testing.T)  { goldenJSON(t, FPOrder, "fporder") }
+func TestGoldenJSONNoAlloc(t *testing.T) { goldenJSON(t, NoAlloc, "noalloc") }
 
 // TestWriteJSONEmpty pins the no-findings rendering: a bare empty
 // array, so CI consumers can parse it unconditionally.

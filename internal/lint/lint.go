@@ -1,12 +1,14 @@
 // Package lint is a self-contained static-analysis framework plus the
 // redvet analyzers that machine-check this repository's simulation
-// invariants: deterministic iteration (detmaprange), no wall-clock or
-// unseeded randomness in simulation code and no "time" import outside
-// the command packages (nowallclock), cycle-typed time flow
-// (cycleunits), component-owned statistics (statspath), static
-// zero-allocation proofs for annotated hot paths (noalloc),
-// scheduling determinism of the sim core (detsched) and the iteration
-// order of float reductions (fporder).
+// invariants: deterministic map iteration, including the order of
+// gathered slices that feed emitted rows and float reductions
+// (detmaprange), no wall-clock or unseeded randomness in simulation
+// code and no "time" import outside the command packages
+// (nowallclock), cycle-typed time flow (cycleunits) and static
+// zero-allocation proofs for annotated hot paths (noalloc).
+// Scheduling determinism and stats ownership are guarded at run time
+// instead: by the goldens, the byte-identity tests and the race job
+// (DESIGN.md §7).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis but
 // is built only on the standard library (go/ast, go/types and the gc
@@ -15,12 +17,10 @@
 //
 // # Interprocedural facts
 //
-// The suite is fact-based: packages are analyzed in dependency order
-// (in-module dependencies of the requested patterns included), and
-// analyzers with a Facts phase export per-function facts — "this
-// function is allocation-free", "this function is scheduling-
-// nondeterministic", "this parameter is reduced into a float
-// accumulator" — into a shared FactStore keyed by the function's
+// Packages are analyzed in dependency order (in-module dependencies of
+// the requested patterns included), and an analyzer with a Facts phase
+// exports per-function facts — noalloc's "this function is
+// allocation-free" — into a shared FactStore keyed by the function's
 // fully-qualified name.  Dependent packages consume those facts when
 // they are analyzed, so a property can be tracked across any number of
 // call hops and package boundaries.  Facts live for one run; they are
@@ -34,10 +34,9 @@
 //
 // on the flagged line or the line above suppresses the diagnostic.  The
 // directive token is analyzer-specific (ordered, wallclock, units,
-// statshook, alloc, detsafe, fporder) so a justification for one
-// invariant never silences another.  A suppression without a non-empty
-// justification is itself a finding (the directive audit, analyzer
-// name "directive").
+// alloc) so a justification for one invariant never silences another.
+// A suppression without a non-empty justification is itself a finding
+// (the directive audit, analyzer name "directive").
 //
 // Further tokens are contract markers rather than suppressions:
 //
@@ -100,9 +99,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Facts is the session-wide fact store (nil when an analyzer is run
-	// standalone outside a Session; fact-based analyzers allocate their
-	// own store in that case via EnsureFacts).
+	// Facts is the session-wide fact store.
 	Facts *FactStore
 
 	// directives maps filename -> line -> redvet directives on that line.
@@ -113,15 +110,6 @@ type Pass struct {
 	generated map[string]bool
 
 	Diagnostics []Diagnostic
-}
-
-// EnsureFacts returns the pass fact store, creating an empty one for
-// standalone (non-Session) runs.
-func (p *Pass) EnsureFacts() *FactStore {
-	if p.Facts == nil {
-		p.Facts = NewFactStore()
-	}
-	return p.Facts
 }
 
 // Reportf records a diagnostic at pos unless a matching //redvet
@@ -205,8 +193,8 @@ type Directive struct {
 // finding and therefore require a justification.  hotpath is absent: it
 // adds obligations instead of removing them.
 var suppressionTokens = map[string]bool{
-	"ordered": true, "wallclock": true, "units": true, "statshook": true,
-	"alloc": true, "coldstart": true, "detsafe": true, "fporder": true,
+	"ordered": true, "wallclock": true, "units": true, "alloc": true,
+	"coldstart": true,
 }
 
 // markerTokens are contract markers that add obligations instead of
@@ -245,20 +233,6 @@ func directiveLines(fset *token.FileSet, f *ast.File) map[int][]Directive {
 		}
 	}
 	return out
-}
-
-// Analyze executes the analyzer's Run phase over pkg standalone and
-// returns its diagnostics.  Fact-based analyzers should be run through a
-// Session instead so dependency facts are available; Analyze still works
-// for them but sees only same-package facts.
-func (a *Analyzer) Analyze(pkg *Package) []Diagnostic {
-	pass := newPass(a, pkg, NewFactStore())
-	if a.Facts != nil {
-		a.Facts(pass)
-	}
-	a.Run(pass)
-	sortDiagnostics(pass.Diagnostics)
-	return pass.Diagnostics
 }
 
 func newPass(a *Analyzer, pkg *Package, facts *FactStore) *Pass {
@@ -411,10 +385,7 @@ func knownTokens() string {
 
 // All returns the full redvet analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{
-		DetMapRange, NoWallClock, CycleUnits, StatsPath, NoAlloc,
-		DetSched, FPOrder,
-	}
+	return []*Analyzer{DetMapRange, NoWallClock, CycleUnits, NoAlloc}
 }
 
 // inspect walks every file in the pass with fn, tracking the stack of
@@ -434,6 +405,40 @@ func inspect(pass *Pass, fn func(n ast.Node, stack []ast.Node) bool) {
 			return true
 		})
 	}
+}
+
+// unparen strips any parentheses around e.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// staticCallee resolves call to a concrete *types.Func, or nil for
+// dynamic calls (func values, interface methods), builtins and
+// conversions.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if types.IsInterface(sel.Recv()) {
+				return nil // dynamic dispatch
+			}
+			fn, _ := sel.Obj().(*types.Func)
+			return fn
+		}
+		// Qualified reference: pkg.Func.
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // basicKind returns the basic kind of t's core type, or types.Invalid.

@@ -129,8 +129,8 @@ func TestDependencyLevels(t *testing.T) {
 // that keeps fact computation, and so the diagnostics, stable.
 func TestLoadDeterministicOrder(t *testing.T) {
 	order := func() []string {
-		pkgs, err := Load("../..", "./internal/lint/testdata/src/detsched",
-			"./internal/lint/testdata/src/fporder")
+		pkgs, err := Load("../..", "./internal/lint/testdata/src/noalloc",
+			"./internal/lint/testdata/src/detmaprange")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestLoadDeterministicOrder(t *testing.T) {
 // pattern target are loaded (Target=false) and sorted before their
 // dependents, which the fact phases rely on.
 func TestLoadDependencyOrder(t *testing.T) {
-	pkgs, err := Load("../..", "./internal/lint/testdata/src/detsched")
+	pkgs, err := Load("../..", "./internal/lint/testdata/src/noalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestLoadDependencyOrder(t *testing.T) {
 		}
 	}
 	const (
-		target = "redcache/internal/lint/testdata/src/detsched"
-		dep    = "redcache/internal/lint/testdata/src/detsched/detutil"
+		target = "redcache/internal/lint/testdata/src/noalloc"
+		dep    = "redcache/internal/lint/testdata/src/noalloc/allocdep"
 	)
 	ti, ok := seen[target]
 	if !ok {

@@ -60,39 +60,6 @@ var allocPurePkgs = map[string]bool{
 	"sync/atomic": true,
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// staticCallee resolves call to a concrete *types.Func, or nil for
-// dynamic calls (func values, interface methods), builtins and
-// conversions.
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[fun]; ok {
-			if types.IsInterface(sel.Recv()) {
-				return nil // dynamic dispatch
-			}
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		// Qualified reference: pkg.Func.
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // pointerShaped reports whether boxing a value of type t into an
 // interface needs no heap allocation (the value fits the interface's
 // data word directly).
@@ -371,7 +338,7 @@ func funcDecls(pass *Pass) map[*types.Func]*ast.FuncDecl {
 
 // noallocFacts computes each function's AllocClass and stores it.
 func noallocFacts(pass *Pass) {
-	facts := pass.EnsureFacts()
+	facts := pass.Facts
 	decls := funcDecls(pass)
 
 	locals := make(map[*types.Func]*allocLocal)
@@ -447,7 +414,7 @@ func calleeClass(facts *FactStore, locals map[*types.Func]*allocLocal, fn *types
 // noallocRun reports sites and allocating callees inside every
 // //redvet:hotpath function of the target package.
 func noallocRun(pass *Pass) {
-	facts := pass.EnsureFacts()
+	facts := pass.Facts
 	decls := funcDecls(pass)
 
 	// Deterministic order: sort by position.

@@ -126,9 +126,8 @@ func (r *Registry) Names() []string {
 // Val is a registry-owned int64 cell for components that have no stable
 // state a pull closure could read: the component pushes updates through
 // Set/Add/Inc and the sampler reads the cell.  Probe cells are the
-// sanctioned cross-component telemetry channel — the statspath redvet
-// analyzer permits mutating them from hooks and closures, unlike
-// component-owned stats counters.
+// sanctioned cross-component telemetry channel: hooks and closures may
+// mutate them, unlike component-owned stats counters.
 type Val struct{ v int64 }
 
 // Set stores x.
