@@ -1,16 +1,15 @@
-// Command redtrace generates and inspects workload memory traces.
+// Command redtrace generates a workload memory trace and prints its
+// summary.
 //
 // Usage:
 //
 //	redtrace -list
-//	redtrace -workload LU [-scale default] [-cores 16] [-seed 1] [-out lu.trc]
-//	redtrace -inspect lu.trc
+//	redtrace -workload LU [-scale default] [-cores 16] [-seed 1]
 //
-// Without -out, the tool prints a summary: record count, footprint,
+// With -workload, the tool prints a summary: record count, footprint,
 // write share, and a reuse-count histogram sketch.
 //
-// Exit status: 0 on success, 1 on a runtime failure (unreadable or
-// corrupt trace file, write error), 2 on a usage error (unknown flags,
+// Exit status: 0 on success, 2 on a usage error (unknown flags,
 // conflicting modes, unknown workload or scale).
 package main
 
@@ -30,8 +29,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable body of the command.  Usage errors return 2,
-// runtime failures return 1.
+// run is the testable body of the command.  Usage errors return 2.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("redtrace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -41,8 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale    = fs.String("scale", "default", "problem size: tiny, small or default")
 		cores    = fs.Int("cores", 16, "number of cores / trace streams")
 		seed     = fs.Int64("seed", 1, "workload PRNG seed")
-		out      = fs.String("out", "", "write the binary trace to this file")
-		inspect  = fs.String("inspect", "", "summarize an existing trace file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2 // flag package already reported to stderr
@@ -51,24 +47,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "redtrace:", err)
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "redtrace:", err)
-		return 1
-	}
 
-	// The three modes are mutually exclusive; picking none (or an -out
-	// with nothing to write) is a usage error, not a silent no-op.
-	modes := 0
-	for _, on := range []bool{*list, *inspect != "", *workload != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return usage(fmt.Errorf("choose one of -list, -inspect or -workload"))
-	}
-	if *out != "" && *workload == "" {
-		return usage(fmt.Errorf("-out requires -workload"))
+	// The two modes are mutually exclusive; picking none is a usage
+	// error, not a silent no-op.
+	if *list && *workload != "" {
+		return usage(fmt.Errorf("choose one of -list or -workload"))
 	}
 	if *cores < 1 {
 		return usage(fmt.Errorf("-cores must be positive, got %d", *cores))
@@ -82,17 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", s.Label, s.Name, s.Suite, s.Input)
 		}
 		w.Flush()
-	case *inspect != "":
-		f, err := os.Open(*inspect)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		tr, err := trace.Decode(f)
-		if err != nil {
-			return fail(fmt.Errorf("inspecting %s: %w", *inspect, err))
-		}
-		summarize(stdout, tr)
 	case *workload != "":
 		spec, err := workloads.ByLabel(*workload)
 		if err != nil {
@@ -102,33 +74,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return usage(err)
 		}
-		tr := spec.Gen(*cores, sc, *seed)
-		if *out != "" {
-			if err := writeTrace(*out, tr); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", *out)
-		}
-		summarize(stdout, tr)
+		summarize(stdout, spec.Gen(*cores, sc, *seed))
 	default:
 		fs.Usage()
 		return 2
 	}
 	return 0
-}
-
-// writeTrace encodes tr into path, reporting the first error from
-// create, encode, or close.
-func writeTrace(path string, tr *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.Encode(f, tr); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func summarize(w io.Writer, tr *trace.Trace) {

@@ -2,10 +2,11 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"fmt"
 	"strings"
 	"testing"
+
+	"redcache/internal/workloads"
 )
 
 func runCLI(args ...string) (code int, stdout, stderr string) {
@@ -19,8 +20,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{},                                  // no mode selected
 		{"-no-such-flag"},                   // unknown flag
 		{"-list", "-workload", "LU"},        // conflicting modes
-		{"-inspect", "x.trc", "-list"},      // conflicting modes
-		{"-out", "x.trc"},                   // -out without -workload
+		{"-inspect", "x.trc"},               // unknown flag: no file mode
+		{"-out", "x.trc"},                   // unknown flag: no file mode
 		{"-workload", "NOPE"},               // unknown workload
 		{"-workload", "LU", "-scale", "xl"}, // unknown scale
 		{"-workload", "LU", "-cores", "0"},  // invalid core count
@@ -36,74 +37,24 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
-func TestInspectMissingFileExitsOne(t *testing.T) {
-	code, _, stderr := runCLI("-inspect", filepath.Join(t.TempDir(), "nope.trc"))
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
+func TestWorkloadSummary(t *testing.T) {
+	code, stdout, stderr := runCLI("-workload", "MG", "-scale", "tiny", "-cores", "2", "-seed", "3")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	if stderr == "" {
-		t.Error("no diagnostic on stderr")
-	}
-}
-
-func TestInspectCorruptAndTruncatedTraces(t *testing.T) {
-	dir := t.TempDir()
-	// A valid trace to truncate.
-	valid := filepath.Join(dir, "lu.trc")
-	if code, _, stderr := runCLI("-workload", "LU", "-scale", "tiny", "-cores", "2",
-		"-out", valid); code != 0 {
-		t.Fatalf("generating trace failed: %s", stderr)
-	}
-	whole, err := os.ReadFile(valid)
+	spec, err := workloads.ByLabel("MG")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	write := func(name string, b []byte) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
+	tr := spec.Gen(2, workloads.Tiny, 3)
+	for _, want := range []string{
+		fmt.Sprintf("records:    %d\n", tr.Records()),
+		fmt.Sprintf("footprint:  %.2f MB (%d blocks)\n", float64(tr.FootprintBytes())/(1<<20), tr.Footprint()),
+		fmt.Sprintf("write share: %.1f%%\n", 100*tr.WriteShare()),
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("summary missing %q:\n%s", want, stdout)
 		}
-		return p
-	}
-	cases := map[string]string{
-		"bad magic":        write("magic.trc", []byte("NOPE-this-is-not-a-trace")),
-		"empty":            write("empty.trc", nil),
-		"truncated header": write("hdr.trc", whole[:6]),
-		"truncated body":   write("body.trc", whole[:len(whole)/2]),
-	}
-	for name, path := range cases {
-		code, _, stderr := runCLI("-inspect", path)
-		if code != 1 {
-			t.Errorf("%s: exit %d, want 1 (stderr %q)", name, code, stderr)
-		}
-		if !strings.Contains(stderr, "inspecting") && !strings.Contains(stderr, "trace") {
-			t.Errorf("%s: diagnostic %q does not identify the trace", name, stderr)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "mg.trc")
-	code, genOut, stderr := runCLI("-workload", "MG", "-scale", "tiny", "-cores", "2",
-		"-seed", "3", "-out", path)
-	if code != 0 {
-		t.Fatalf("generate: exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(genOut, "wrote "+path) {
-		t.Errorf("missing write confirmation:\n%s", genOut)
-	}
-	code, inspOut, stderr := runCLI("-inspect", path)
-	if code != 0 {
-		t.Fatalf("inspect: exit %d, stderr %q", code, stderr)
-	}
-	// The summary block is identical whether printed at generation or
-	// decoded back from disk: the codec is lossless.
-	idx := strings.Index(genOut, "workload:")
-	if idx < 0 || genOut[idx:] != inspOut {
-		t.Errorf("generate/inspect summaries differ:\n--- generate ---\n%s\n--- inspect ---\n%s",
-			genOut, inspOut)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"redcache/internal/hbm"
@@ -109,5 +111,37 @@ func TestGroupsEmissionStable(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Fig3 groups differ across runs:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestTextStatsTableSortedRows pins WriteTable's row order without a
+// simulation: a synthetic TextStats over the whole catalog, built in
+// descending label order, must still render its workload rows sorted.
+// With 11 keys, a map-order emission is sorted by chance only about
+// once in 11! renders.
+func TestTextStatsTableSortedRows(t *testing.T) {
+	var labels []string
+	for _, s := range workloads.Catalog() {
+		labels = append(labels, s.Label)
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(labels)))
+	ts := &TextStats{LastWriteShare: map[string]float64{}, RCUFreeShare: map[string]float64{}}
+	for i, w := range labels {
+		ts.LastWriteShare[w] = float64(i) / 100
+		ts.RCUFreeShare[w] = float64(i) / 50
+	}
+	var buf bytes.Buffer
+	ts.WriteTable(&buf)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != len(labels)+2 {
+		t.Fatalf("table has %d lines, want header + %d rows + mean:\n%s", len(lines), len(labels), buf.String())
+	}
+	var got []string
+	for _, l := range lines[1 : len(lines)-1] {
+		got = append(got, strings.Fields(l)[0])
+	}
+	sort.Strings(labels)
+	if !reflect.DeepEqual(got, labels) {
+		t.Fatalf("rows in order %v, want sorted %v", got, labels)
 	}
 }

@@ -126,11 +126,13 @@ func TestCheckRegretCapsAtGammaMax(t *testing.T) {
 }
 
 // TestRegretRingSaturates: the regret tracker is a bounded SRAM; an
-// invalidation storm must cycle the ring, not grow it.
+// invalidation storm must cycle the ring, not grow it, and the ring
+// evicts oldest first: exactly the last regretCap invalidations survive.
 func TestRegretRingSaturates(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
 	c := r.ctl.(*red)
-	for i := 0; i < 3*regretCap; i++ {
+	const n = 3 * regretCap
+	for i := 0; i < n; i++ {
 		c.noteInvalidation(mem.Addr(i * mem.BlockSize))
 	}
 	if len(c.regretRing) != regretCap {
@@ -138,6 +140,13 @@ func TestRegretRingSaturates(t *testing.T) {
 	}
 	if len(c.regret) > regretCap {
 		t.Fatalf("regret set %d exceeds ring cap %d", len(c.regret), regretCap)
+	}
+	for i := 0; i < n; i++ {
+		_, held := c.regret[mem.Addr(i*mem.BlockSize)]
+		if want := i >= n-regretCap; held != want {
+			t.Fatalf("invalidation %d of %d: tracked = %v, want %v (FIFO keeps the last %d)",
+				i, n, held, want, regretCap)
+		}
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after ring wrap: %v", err)

@@ -27,6 +27,8 @@ import (
 //   - Dynamic calls — through stored func values or interface methods —
 //     are component boundaries the analyzer cannot resolve; the
 //     concrete implementations carry their own hotpath annotations.
+//     Only the address of a local passed through one is flagged, since
+//     escape analysis must move that local to the heap.
 //
 // Allocations whose only purpose is to build a panic message are
 // exempt: a panicking simulation is already past caring about the
@@ -211,13 +213,38 @@ func (s *allocScanner) call(call *ast.CallExpr) bool {
 			}
 		}
 	}
-	if fn := staticCallee(s.info, call); fn != nil {
-		if fn.Pkg() == nil || allocPurePkgs[fn.Pkg().Path()] {
-			return true
+	fn := staticCallee(s.info, call)
+	if fn == nil {
+		for _, arg := range call.Args {
+			if v := s.addrOfLocal(arg); v != nil {
+				s.site(arg.Pos(), "address of local %s escapes through a dynamic call", v.Name())
+			}
 		}
-		s.callees = append(s.callees, calleeRef{pos: call.Pos(), fn: fn})
+		return true
 	}
+	if fn.Pkg() == nil || allocPurePkgs[fn.Pkg().Path()] {
+		return true
+	}
+	s.callees = append(s.callees, calleeRef{pos: call.Pos(), fn: fn})
 	return true
+}
+
+// addrOfLocal returns x when e is &x for a function-local variable x,
+// or nil.
+func (s *allocScanner) addrOfLocal(e ast.Expr) *types.Var {
+	u, ok := unparen(e).(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return nil
+	}
+	id, ok := unparen(u.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := s.info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Parent() == nil || v.Parent().Parent() == types.Universe {
+		return nil
+	}
+	return v
 }
 
 // conversion flags allocating type conversions.

@@ -143,3 +143,17 @@ func sanctioned() []int {
 //
 //redvet:hotpath
 func dynamic(f func() int) int { return f() }
+
+type submitter interface{ submit(*point) }
+
+// handoff passes a local's address through an interface call: the
+// compiler cannot prove the callee keeps no reference, so the local
+// moves to the heap.  Passing on a pointer it was given moves nothing.
+//
+//redvet:hotpath
+func handoff(sub submitter, f func(*point), q *point) {
+	p := *q
+	sub.submit(&p) // want `address of local p escapes through a dynamic call`
+	f(&p)          // want `address of local p escapes through a dynamic call`
+	sub.submit(q)
+}

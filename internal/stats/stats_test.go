@@ -66,6 +66,27 @@ func TestReuseHistogramGroups(t *testing.T) {
 	if share := h.CostShareAbove(1, 10); share != 30.0/42 {
 		t.Fatalf("share = %f", share)
 	}
+
+	// Many distinct reuse counts, met in descending order as the blocks
+	// are walked: the groups must still come out strictly ascending.
+	// With 12 groups, a map-order emission is ascending by chance only
+	// about once in 12! calls.
+	h = NewReuseHistogram()
+	const distinct = 12
+	for b := uint64(0); b < distinct; b++ {
+		for i := uint64(0); i < distinct-b; i++ {
+			h.Observe(b, 1)
+		}
+	}
+	gs = h.Groups()
+	if len(gs) != distinct {
+		t.Fatalf("groups = %d, want %d", len(gs), distinct)
+	}
+	for i := 1; i < len(gs); i++ {
+		if gs[i].Reuses <= gs[i-1].Reuses {
+			t.Fatalf("groups not strictly ascending at %d: %d after %d", i, gs[i].Reuses, gs[i-1].Reuses)
+		}
+	}
 }
 
 // TestHistogramConservation: group sums equal totals for random input.

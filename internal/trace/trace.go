@@ -1,6 +1,6 @@
 // Package trace defines the block-granular memory trace format the
-// workload generators emit and the CPU model consumes, plus a compact
-// binary file codec and trace-analysis helpers (footprint, reuse CDF).
+// workload generators emit and the CPU model consumes, plus
+// trace-analysis helpers (footprint, reuse CDF).
 //
 // A record is one memory operation preceded by a count of non-memory
 // instructions ("gap"); the CPU model retires the gap at its issue width
@@ -10,11 +10,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 
 	"redcache/internal/mem"
 )
@@ -159,212 +155,3 @@ func (b *Builder) Stream() Stream { return b.stream }
 
 // Len reports the number of records built so far.
 func (b *Builder) Len() int { return len(b.stream) }
-
-// Binary trace file format:
-//
-//	magic "RCT1" | uint32 cores | name (uint16 len + bytes)
-//	per stream: uint64 count, then count records of
-//	    uint16 gap | uint8 flags | uint64 addr  (little endian)
-//
-// The addr field is a byte address; Decode rejects one that is not
-// block aligned or not below 2^38, since a Record cannot hold it.
-var magic = [4]byte{'R', 'C', 'T', '1'}
-
-// recSize is the encoded size of one record; recBatch records are staged
-// in one reused buffer per codec call, so the per-record cost is a fixed
-// 11 B memory copy rather than a bufio call (and, on decode, a parse out
-// of a bulk-read chunk).  The batch buffer is ~5.6 KB — small enough to
-// stay cache-resident, large enough to amortize the io calls.
-const (
-	recSize  = 11
-	recBatch = 512
-)
-
-// Encoder writes traces in the binary format.  Its bufio.Writer and
-// record-batch chunk are reused across Encode calls, so steady-state
-// encoding (redbench loops, sweep harnesses re-emitting traces) does
-// not allocate.  An Encoder is not safe for concurrent use.
-type Encoder struct {
-	bw *bufio.Writer
-	// scratch backs the fixed-size header and count writes; a local
-	// array would escape through the io.Writer interface and cost one
-	// heap allocation per write.
-	scratch [8]byte
-	chunk   [recSize * recBatch]byte
-}
-
-// NewEncoder returns an Encoder with its buffers preallocated.
-func NewEncoder() *Encoder { return &Encoder{bw: bufio.NewWriter(nil)} }
-
-// Encode writes t to w in the binary trace format.
-func Encode(w io.Writer, t *Trace) error { return NewEncoder().Encode(w, t) }
-
-// Encode writes t to w, reusing the Encoder's internal buffers.  The
-// output bytes are identical to the package-level Encode.
-func (e *Encoder) Encode(w io.Writer, t *Trace) error {
-	bw := e.bw
-	bw.Reset(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if len(t.Name) > 65535 {
-		return errors.New("trace: name too long")
-	}
-	hdr := e.scratch[:6]
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(t.Streams)))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(t.Name)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	for _, s := range t.Streams {
-		cnt := e.scratch[:8]
-		binary.LittleEndian.PutUint64(cnt, uint64(len(s)))
-		if _, err := bw.Write(cnt); err != nil {
-			return err
-		}
-		for off := 0; off < len(s); off += recBatch {
-			n := len(s) - off
-			if n > recBatch {
-				n = recBatch
-			}
-			for i, r := range s[off : off+n] {
-				rec := e.chunk[i*recSize:]
-				binary.LittleEndian.PutUint16(rec[0:2], r.Gap)
-				if r.Write {
-					rec[2] = 1
-				} else {
-					rec[2] = 0
-				}
-				binary.LittleEndian.PutUint64(rec[3:recSize], uint64(r.Addr()))
-			}
-			if _, err := bw.Write(e.chunk[:n*recSize]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Decoder reads traces in the binary format.  The bufio.Reader, the
-// record-batch chunk, and — critically for the round-trip cost — the
-// per-stream backing arrays are all reused across Decode calls, so
-// decoding the same-shaped trace repeatedly settles to a handful of
-// small allocations instead of re-growing megabytes of records each
-// time.  A Decoder is not safe for concurrent use.
-type Decoder struct {
-	br *bufio.Reader
-	// scratch backs the fixed-size header and count reads; a local
-	// array would escape through the io.Reader interface and cost one
-	// heap allocation per read.
-	scratch [8]byte
-	chunk   [recSize * recBatch]byte
-	streams []Stream
-	name    []byte
-	trace   Trace
-}
-
-// NewDecoder returns a Decoder with its buffers preallocated.
-func NewDecoder() *Decoder { return &Decoder{br: bufio.NewReader(nil)} }
-
-// Decode reads a trace in the binary format produced by Encode.  The
-// returned Trace is freshly allocated and owned by the caller.
-func Decode(r io.Reader) (*Trace, error) { return NewDecoder().Decode(r) }
-
-// Decode reads a trace from r into the Decoder's reused buffers.  The
-// returned Trace and its streams are owned by the Decoder and are only
-// valid until the next Decode call; callers that keep records past
-// that point must copy them out.
-func (d *Decoder) Decode(r io.Reader) (*Trace, error) {
-	br := d.br
-	br.Reset(r)
-	m := d.scratch[:4]
-	if _, err := io.ReadFull(br, m); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if [4]byte(m) != magic {
-		return nil, errors.New("trace: bad magic")
-	}
-	hdr := d.scratch[:6]
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", truncated(err))
-	}
-	cores := binary.LittleEndian.Uint32(hdr[:4])
-	nameLen := binary.LittleEndian.Uint16(hdr[4:])
-	if cores > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible core count %d", cores)
-	}
-	if cap(d.name) < int(nameLen) {
-		d.name = make([]byte, nameLen)
-	}
-	name := d.name[:nameLen]
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", truncated(err))
-	}
-	if cap(d.streams) < int(cores) {
-		d.streams = make([]Stream, cores)
-	}
-	d.trace = Trace{Name: string(name), Streams: d.streams[:cores]}
-	t := &d.trace
-	for i := range t.Streams {
-		cnt := d.scratch[:8]
-		if _, err := io.ReadFull(br, cnt); err != nil {
-			return nil, fmt.Errorf("trace: reading stream %d count: %w", i, truncated(err))
-		}
-		n := binary.LittleEndian.Uint64(cnt)
-		if n > 1<<32 {
-			return nil, fmt.Errorf("trace: implausible record count %d", n)
-		}
-		// Grow the stream batch by verified batch instead of trusting the
-		// declared count: a corrupt or hostile header can claim 2^32
-		// records, and preallocating that would be a 60+ GB allocation
-		// before the first truncated read is ever noticed.  The initial
-		// capacity covers any honest small trace in one shot, and a
-		// previous Decode's backing array is reused when large enough.
-		s := t.Streams[i][:0]
-		if cap(s) == 0 {
-			s = make(Stream, 0, min64(n, 1<<16))
-		}
-		for off := uint64(0); off < n; off += recBatch {
-			k := int(min64(n-off, recBatch))
-			if _, err := io.ReadFull(br, d.chunk[:k*recSize]); err != nil {
-				return nil, fmt.Errorf("trace: stream %d truncated at record %d of %d: %w",
-					i, off, n, truncated(err))
-			}
-			for j := 0; j < k; j++ {
-				rec := d.chunk[j*recSize:]
-				addr := mem.Addr(binary.LittleEndian.Uint64(rec[3:recSize]))
-				if !addr.BlockAligned() || addr >= maxAddr {
-					return nil, fmt.Errorf("trace: stream %d record %d: address %#x is not a block-aligned address below 256 GiB",
-						i, off+uint64(j), uint64(addr))
-				}
-				s = append(s, Record{
-					Gap:   binary.LittleEndian.Uint16(rec[0:2]),
-					Write: rec[2] != 0,
-					Block: uint32(addr.Block()),
-				})
-			}
-		}
-		t.Streams[i] = s
-	}
-	return t, nil
-}
-
-// truncated maps the io.ReadFull mid-object EOF to ErrUnexpectedEOF so
-// every short read — even one cut exactly between records — reports as
-// a truncation rather than a clean end of file.
-func truncated(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

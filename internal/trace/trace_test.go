@@ -1,11 +1,7 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -93,69 +89,6 @@ func TestBuilderRecordsBlockAligned(t *testing.T) {
 	}
 }
 
-func randomTrace(rng *rand.Rand) *Trace {
-	tr := &Trace{Name: "rand"}
-	for c := 0; c < 1+rng.Intn(4); c++ {
-		var s Stream
-		for i := 0; i < rng.Intn(200); i++ {
-			s = append(s, Record{
-				Gap:   uint16(rng.Intn(1000)),
-				Write: rng.Intn(2) == 0,
-				Block: uint32(rng.Intn(1 << 18)),
-			})
-		}
-		tr.Streams = append(tr.Streams, s)
-	}
-	return tr
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 25; i++ {
-		tr := randomTrace(rng)
-		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Name != tr.Name || len(got.Streams) != len(tr.Streams) {
-			t.Fatalf("header mismatch: %q/%d vs %q/%d",
-				got.Name, len(got.Streams), tr.Name, len(tr.Streams))
-		}
-		for c := range tr.Streams {
-			if len(tr.Streams[c]) == 0 && len(got.Streams[c]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got.Streams[c], tr.Streams[c]) {
-				t.Fatalf("stream %d differs", c)
-			}
-		}
-	}
-}
-
-func TestDecodeRejectsBadMagic(t *testing.T) {
-	if _, err := Decode(strings.NewReader("XXXXgarbage")); err == nil {
-		t.Error("expected error on bad magic")
-	}
-}
-
-func TestDecodeRejectsTruncated(t *testing.T) {
-	tr := &Trace{Name: "x", Streams: []Stream{{{Gap: 1, Block: 1}}}}
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for cut := 1; cut < len(raw); cut += 3 {
-		if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("expected error decoding %d/%d bytes", cut, len(raw))
-		}
-	}
-}
-
 func TestTraceAnalysis(t *testing.T) {
 	tr := &Trace{Name: "a", Streams: []Stream{
 		{{Block: 0, Write: false}, {Block: 1, Write: true}},
@@ -182,38 +115,6 @@ func TestTraceAnalysis(t *testing.T) {
 func TestRecordIsEightBytes(t *testing.T) {
 	if sz := unsafe.Sizeof(Record{}); sz != 8 {
 		t.Fatalf("Record is %d bytes, want 8", sz)
-	}
-}
-
-func TestDecodeRejectsUnrepresentableAddress(t *testing.T) {
-	tr := &Trace{Name: "x", Streams: []Stream{{{Gap: 1, Block: 1}, {Write: true, Block: 2}}}}
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	// magic | cores | name length | name | count | record 0 | record 1,
-	// whose address field follows its gap and flags bytes.
-	addrOff := 4 + 6 + len(tr.Name) + 8 + recSize + 3
-	for _, addr := range []uint64{2*mem.BlockSize + 8, 1 << 38} {
-		raw := append([]byte(nil), buf.Bytes()...)
-		binary.LittleEndian.PutUint64(raw[addrOff:], addr)
-		_, err := Decode(bytes.NewReader(raw))
-		if err == nil {
-			t.Fatalf("address %#x: decoded without error", addr)
-		}
-		if !strings.Contains(err.Error(), "stream 0 record 1") {
-			t.Errorf("address %#x: error %q does not name the stream and record", addr, err)
-		}
-	}
-	// The largest representable block still decodes.
-	raw := append([]byte(nil), buf.Bytes()...)
-	binary.LittleEndian.PutUint64(raw[addrOff:], 1<<38-mem.BlockSize)
-	got, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := got.Streams[0][1].Block; b != 1<<32-1 {
-		t.Fatalf("top block decoded as %#x", b)
 	}
 }
 
