@@ -14,20 +14,34 @@ import (
 // goldenPairs are the (workload, arch) pairs pinned byte-for-byte
 // against the seed implementation.  One bandwidth-bound kernel on the
 // full RedCache controller and one streaming kernel on the no-cache
-// baseline cover both extremes of the event-scheduling load.
+// baseline cover both extremes of the event-scheduling load.  A zero
+// granularity keeps config.Default's 64 B transfers.
 var goldenPairs = []struct {
-	workload string
-	arch     hbm.Arch
-	scale    workloads.Scale
-	name     string
+	workload    string
+	arch        hbm.Arch
+	scale       workloads.Scale
+	granularity int
+	name        string
 }{
-	{"LU", hbm.ArchRedCache, workloads.Tiny, "LU_RedCache"},
-	{"HIST", hbm.ArchNoHBM, workloads.Tiny, "HIST_NoHBM"},
+	{"LU", hbm.ArchRedCache, workloads.Tiny, 0, "LU_RedCache"},
+	{"HIST", hbm.ArchNoHBM, workloads.Tiny, 0, "HIST_NoHBM"},
 	// The small-scale pair is the load-bearing one: at tiny scale alpha
 	// bypasses everything, while at small scale the run drives ~220k RCU
 	// updates, piggyback/idle flushes, refresh bypass, and both DRAM
-	// devices — every hot path this PR's optimizations touch.
-	{"LU", hbm.ArchRedCache, workloads.Small, "LU_RedCache_small"},
+	// devices.
+	{"LU", hbm.ArchRedCache, workloads.Small, 0, "LU_RedCache_small"},
+	// OCN at small scale pins every other tag-and-data architecture:
+	// Alloy's hit r-counts and zero-reuse evictions, Bear's fill bypass
+	// and presence-filter writes, and each RedCache variant's mechanism
+	// set on its own.  At 256 B transfers a write miss must fetch its
+	// frame's remainder from DDR4 before the install.
+	{"OCN", hbm.ArchAlloy, workloads.Small, 0, "OCN_Alloy_small"},
+	{"OCN", hbm.ArchBear, workloads.Small, 0, "OCN_Bear_small"},
+	{"OCN", hbm.ArchRedAlpha, workloads.Small, 0, "OCN_Red-Alpha_small"},
+	{"OCN", hbm.ArchRedGamma, workloads.Small, 0, "OCN_Red-Gamma_small"},
+	{"OCN", hbm.ArchRedBasic, workloads.Small, 0, "OCN_Red-Basic_small"},
+	{"OCN", hbm.ArchRedInSitu, workloads.Small, 0, "OCN_Red-InSitu_small"},
+	{"OCN", hbm.ArchAlloy, workloads.Small, 256, "OCN_Alloy_small_g256"},
 }
 
 // goldenString renders every counter the seed-era Result carried.  The
@@ -41,10 +55,13 @@ func goldenString(r *Result) string {
 		r.HBMIface, r.DDRIface, r.Ctl, r.L3, r.Energy)
 }
 
-func goldenRun(t *testing.T, workload string, arch hbm.Arch, sc workloads.Scale) *Result {
+func goldenRun(t *testing.T, workload string, arch hbm.Arch, sc workloads.Scale, granularity int) *Result {
 	t.Helper()
 	sys := config.Default()
 	sys.CPU.Cores = 4
+	if granularity != 0 {
+		sys.Granularity = granularity
+	}
 	spec, err := workloads.ByLabel(workload)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +86,7 @@ func TestGoldenResultMatchesSeed(t *testing.T) {
 	for _, p := range goldenPairs {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			got := goldenString(goldenRun(t, p.workload, p.arch, p.scale))
+			got := goldenString(goldenRun(t, p.workload, p.arch, p.scale, p.granularity))
 			path := filepath.Join("testdata",
 				fmt.Sprintf("golden_%s.txt", p.name))
 			if os.Getenv("REDCACHE_UPDATE_GOLDEN") != "" {

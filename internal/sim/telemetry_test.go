@@ -62,7 +62,7 @@ func TestTelemetryByteIdentical(t *testing.T) {
 // counters of a plain run (goldenString covers every counter except
 // EventsFired, which legitimately includes the sampler ticks).
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
-	plain := goldenRun(t, "LU", hbm.ArchRedCache, workloads.Tiny)
+	plain := goldenRun(t, "LU", hbm.ArchRedCache, workloads.Tiny, 0)
 	telRes, _ := telemetryRun(t, hbm.ArchRedCache, 5000)
 	if got, want := goldenString(telRes), goldenString(plain); got != want {
 		t.Fatalf("telemetry perturbed simulation counters:\n--- plain\n%s\n--- telemetry\n%s", want, got)
