@@ -1,8 +1,10 @@
 // Package hbm implements the DRAM-cache controllers compared in the
-// paper: the No-HBM and IDEAL reference topologies (§II-A, Fig 1), the
-// Alloy and BEAR baselines, and the six RedCache variants of §IV-A
-// (Red-Alpha, Red-Gamma, Red-Basic, Red-InSitu, and the full RedCache
-// with alpha+gamma counting, RCU management and refresh bypass).
+// paper: the No-HBM and IDEAL reference topologies (§II-A, Fig 1), and
+// one tag-and-data controller (tad.go) for the Alloy and BEAR baselines
+// and the five RedCache variants of §IV-A (Red-Alpha, Red-Gamma,
+// Red-Basic, Red-InSitu, and the full RedCache with alpha+gamma
+// counting, RCU management and refresh bypass).  Each of those seven is
+// a set of tadFlags, chosen in New.
 //
 // Every controller sits between the L3 (requests arrive via Submit) and
 // two dram.Controllers: the in-package WideIO HBM and off-chip DDR4.
@@ -239,19 +241,19 @@ func New(arch Arch, eng *engine.Engine, cfg *config.System,
 	case ArchIdeal:
 		return newIdeal(d), nil
 	case ArchAlloy:
-		return newAlloy(d), nil
+		return newTAD(d, arch, tadFlags{}), nil
 	case ArchBear:
-		return newBear(d), nil
+		return newTAD(d, arch, tadFlags{bab: true, presence: true}), nil
 	case ArchRedAlpha:
-		return newRed(d, redFlags{alpha: true}), nil
+		return newTAD(d, arch, tadFlags{alpha: true}), nil
 	case ArchRedGamma:
-		return newRed(d, redFlags{gamma: true, insitu: true}), nil
+		return newTAD(d, arch, tadFlags{gamma: true, insitu: true}), nil
 	case ArchRedBasic:
-		return newRed(d, redFlags{alpha: true, gamma: true}), nil
+		return newTAD(d, arch, tadFlags{alpha: true, gamma: true}), nil
 	case ArchRedInSitu:
-		return newRed(d, redFlags{alpha: true, gamma: true, insitu: true, refreshBypass: true}), nil
+		return newTAD(d, arch, tadFlags{alpha: true, gamma: true, insitu: true, refreshBypass: true}), nil
 	case ArchRedCache:
-		return newRed(d, redFlags{alpha: true, gamma: true, rcu: true, refreshBypass: true}), nil
+		return newTAD(d, arch, tadFlags{alpha: true, gamma: true, rcu: true, refreshBypass: true}), nil
 	default:
 		return nil, fmt.Errorf("hbm: unknown architecture %q", arch)
 	}

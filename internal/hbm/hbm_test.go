@@ -213,17 +213,11 @@ func TestBearWriteHitSkipsProbe(t *testing.T) {
 // tags exposes the tag store of the controller under test.
 func (r *rig) tags(t *testing.T) *tagStore {
 	t.Helper()
-	switch c := r.ctl.(type) {
-	case *alloy:
-		return c.tags
-	case *bear:
-		return c.tags
-	case *red:
-		return c.tags
-	default:
+	c, ok := r.ctl.(*tad)
+	if !ok {
 		t.Fatalf("controller %T has no tag store", r.ctl)
-		return nil
 	}
+	return c.tags
 }
 
 func TestBearBypassesFillsWhenHitRateLow(t *testing.T) {

@@ -2,14 +2,8 @@ package hbm
 
 import "fmt"
 
-// CheckInvariants validates the tag store: every valid entry's tag must
-// map back to the frame that holds it.  It is the hbm leg of the opt-in
-// online invariant checker; red extends it with the RCU CAM and the
-// adaptive-threshold ranges.  Never called on the steady-state path.
-func (c *ctlBase) CheckInvariants() error {
-	return c.tags.check()
-}
-
+// check validates the tag store: every valid entry's tag must map back
+// to the frame that holds it.
 func (t *tagStore) check() error {
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -24,9 +18,10 @@ func (t *tagStore) check() error {
 	return nil
 }
 
-// CheckInvariants extends the tag-store check with the RCU CAM, the
-// regret tracker, and the adaptive α/γ threshold ranges.
-func (c *red) CheckInvariants() error {
+// CheckInvariants is the hbm leg of the opt-in online invariant
+// checker: the tag store, the RCU CAM, the regret tracker, and the
+// adaptive α/γ threshold ranges.  Never called on the steady-state path.
+func (c *tad) CheckInvariants() error {
 	if err := c.tags.check(); err != nil {
 		return err
 	}

@@ -16,12 +16,9 @@ type opKind uint8
 
 const (
 	opIdle opKind = iota
-	opAlloyReadFill
-	opAlloyWriteInstall
-	opBearReadFill
+	opReadFill
+	opWriteInstall
 	opIdealWrite
-	opRedReadFill
-	opRedWriteInstall
 )
 
 // op is one pooled continuation record.
@@ -29,7 +26,7 @@ type op struct {
 	kind opKind
 	addr mem.Addr // the demand request's address
 	base mem.Addr // frame base of the fill transfer
-	fill bool     // BEAR's bandwidth-aware-bypass verdict
+	fill bool     // a read fill installs (false: BAB bypassed it)
 	// done is the demand request's completion callback, detached with
 	// TakeDone at submit time; the op never holds the request itself.
 	done func(int64)

@@ -139,7 +139,7 @@ func TestGammaAdaptsTowardObservedCounts(t *testing.T) {
 		cfg.Red.GammaMin = 2
 		cfg.Red.GammaMax = 64
 	})
-	red := r.ctl.(*red)
+	red := r.ctl.(*tad)
 	for i := 0; i < 40; i++ {
 		r.access(0, mem.Read)
 	}
@@ -155,7 +155,7 @@ func TestGammaDescendsSlowly(t *testing.T) {
 		cfg.Red.GammaMin = 2
 		cfg.Red.GammaMax = 64
 	})
-	red := r.ctl.(*red)
+	red := r.ctl.(*tad)
 	// Eight low-count observations move γ down by one.
 	for i := 0; i < 8; i++ {
 		a := mem.Addr(i * 64)
@@ -174,7 +174,7 @@ func TestRegretRaisesGamma(t *testing.T) {
 		cfg.Red.GammaMin = 2
 		cfg.Red.GammaMax = 64
 	})
-	red := r.ctl.(*red)
+	red := r.ctl.(*tad)
 	r.access(0, mem.Read)
 	r.access(0, mem.Read)
 	r.access(0, mem.Read)
@@ -248,7 +248,7 @@ func TestRCUInvariantRequiresResidency(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
 	r.warm(0)
 	r.access(0, mem.Read) // hit: update parked in the RCU
-	c := r.ctl.(*red)
+	c := r.ctl.(*tad)
 	if c.rcu.Len() != 1 {
 		t.Fatalf("RCU holds %d updates, want 1", c.rcu.Len())
 	}

@@ -63,7 +63,7 @@ func TestAlphaMaxThresholdStaysReachable(t *testing.T) {
 // saturation) and checks γ never leaves [GammaMin, GammaMax].
 func TestUpdateGammaRespectsBounds(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl.(*tad)
 	lo, hi := c.d.cfg.Red.GammaMin, c.d.cfg.Red.GammaMax
 
 	c.gamma = hi
@@ -103,7 +103,7 @@ func TestUpdateGammaRespectsBounds(t *testing.T) {
 // and must consume the regret entry either way.
 func TestCheckRegretCapsAtGammaMax(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl.(*tad)
 	hi := c.d.cfg.Red.GammaMax
 	addr := mem.Addr(0x40)
 
@@ -130,7 +130,7 @@ func TestCheckRegretCapsAtGammaMax(t *testing.T) {
 // evicts oldest first: exactly the last regretCap invalidations survive.
 func TestRegretRingSaturates(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl.(*tad)
 	const n = 3 * regretCap
 	for i := 0; i < n; i++ {
 		c.noteInvalidation(mem.Addr(i * mem.BlockSize))
@@ -158,7 +158,7 @@ func TestRegretRingSaturates(t *testing.T) {
 // never wrap, and γ must stay in range throughout.
 func TestRCountPinsAtMax(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl.(*tad)
 	addr := mem.Addr(0)
 	r.admitPage(addr)
 	r.access(addr, mem.Read) // fill

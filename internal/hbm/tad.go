@@ -5,14 +5,22 @@ import (
 	"redcache/internal/obs"
 )
 
-// redFlags select which of the proposed mechanisms a RedCache variant
-// enables, matching the six configurations of §IV-A.
-type redFlags struct {
+// tadFlags select the mechanisms an architecture adds to the baseline
+// TAD flow.  With every flag off the controller is the Alloy Cache.
+type tadFlags struct {
 	alpha         bool // α admission / bypass counting
 	gamma         bool // γ last-write invalidation with r-counts
 	rcu           bool // deferred r-count updates through the RCU manager
 	insitu        bool // r-count updates processed inside the DRAM dies
 	refreshBypass bool // route guaranteed misses around refreshing banks
+	bab           bool // Bear's bandwidth-aware fill bypass (bab.go)
+	// presence is Bear's DRAM-Cache-Presence filter: writebacks learn
+	// residency without the HBM probe read, and absent ones go straight
+	// to DDR4 without allocating.  It is exact in simulation (the
+	// functional tag store is available); real BEAR tracks presence bits
+	// alongside L3 lines with small error.  Read misses still pay the
+	// TAD probe, which doubles as the data fetch on a hit.
+	presence bool
 }
 
 // rcuHitLatency is the SRAM access latency, in CPU cycles, of serving a
@@ -23,13 +31,36 @@ const rcuHitLatency = 8
 // hardware terms: 4096 block addresses).
 const regretCap = 4096
 
-// red implements the RedCache controller family over the direct-mapped
-// TAD organization (Fig 7 flow).
-type red struct {
-	ctlBase
-	f     redFlags
-	at    *alphaTable
-	rcu   *rcuManager
+// tad is the direct-mapped tag-and-data (TAD) DRAM-cache controller of
+// every architecture with a tag store: the Alloy (Qureshi & Loh,
+// MICRO'12) and BEAR (Chou, Jaleel, Qureshi, ISCA'15) baselines and the
+// five RedCache variants of §IV-A.  Tags ride in spare ECC bits, so one
+// block-sized HBM access both checks the tag and returns the data.  The
+// flow with every flag off, per the RedCache paper's Fig 7 premise:
+//
+//	read  hit : 1 HBM read (TAD)                          -> data to L3
+//	read  miss: 1 HBM read + DDR4 fetch + HBM fill write;
+//	            dirty victims travel to DDR4 (their data arrived with
+//	            the TAD probe, so no extra HBM read is needed)
+//	write hit : 1 HBM read (probe) + 1 HBM write (turnaround)
+//	write miss: 1 HBM read + write-allocate (+ dirty victim to DDR4)
+//
+// The transfer granularity between DDR4 and HBM follows cfg.Granularity
+// (64/128/256 B, swept by Fig 2b); demand traffic to the CPU stays 64 B.
+// Every hit/miss decision comes from the functional tag store at Submit.
+type tad struct {
+	d    deps
+	arch Arch
+	f    tadFlags
+	s    Stats
+	tags *tagStore
+	// tr is the event tracer (nil unless telemetry is wired — Emit on
+	// nil is a no-op).
+	tr  *obs.Tracer
+	at  *alphaTable
+	rcu *rcuManager
+	bab *babMonitor
+	// gamma is the γ threshold; it stays at GammaInit without f.gamma.
 	gamma int
 	// gammaDown counts below-γ observations so γ descends eight times
 	// slower than it ascends (see updateGamma).
@@ -42,8 +73,10 @@ type red struct {
 	ops        *opPool
 }
 
-func newRed(d deps, f redFlags) *red {
-	c := &red{ctlBase: newCtlBase(d), f: f, gamma: d.cfg.Red.GammaInit,
+func newTAD(d deps, arch Arch, f tadFlags) *tad {
+	c := &tad{d: d, arch: arch, f: f,
+		tags:   newTagStore(d.cfg.HBMCacheB, d.cfg.Granularity),
+		gamma:  d.cfg.Red.GammaInit,
 		regret: make(map[mem.Addr]struct{})}
 	c.ops = newOpPool(c.fireOp)
 	if f.alpha {
@@ -63,34 +96,33 @@ func newRed(d deps, f redFlags) *red {
 		d.hbm.SetWriteHook(c.rcu.onWrite)
 		d.hbm.SetIdleHook(c.rcu.onIdle)
 	}
+	if f.bab {
+		c.bab = newBABMonitor(d.cfg.Seed)
+	}
 	return c
 }
 
-func (c *red) Name() Arch {
-	switch {
-	case c.f.rcu:
-		return ArchRedCache
-	case c.f.alpha && c.f.gamma && c.f.insitu:
-		return ArchRedInSitu
-	case c.f.alpha && c.f.gamma:
-		return ArchRedBasic
-	case c.f.alpha:
-		return ArchRedAlpha
-	default:
-		return ArchRedGamma
-	}
-}
+func (c *tad) Name() Arch    { return c.arch }
+func (c *tad) Stats() *Stats { return &c.s }
 
-func (c *red) Drain() {
+// baseline reports an architecture with neither α nor γ (Alloy, Bear).
+// Only there do hits bump the r-count outside γ, for the zero-reuse
+// eviction statistic; Red-Alpha keeps every r-count at 0.
+func (c *tad) baseline() bool { return !c.f.alpha && !c.f.gamma }
+
+func (c *tad) Drain() {
 	if c.rcu != nil {
 		c.rcu.drain()
+	}
+	if c.baseline() {
+		return // no adaptive threshold to report
 	}
 	c.s.Alpha.FinalAlpha = c.currentAlpha()
 	c.s.Gamma.FinalGamma = c.gamma
 }
 
 //redvet:hotpath
-func (c *red) currentAlpha() int {
+func (c *tad) currentAlpha() int {
 	if c.at == nil {
 		return 0
 	}
@@ -98,7 +130,7 @@ func (c *red) currentAlpha() int {
 }
 
 // Gamma reports the current γ threshold (tests and examples).
-func (c *red) Gamma() int { return c.gamma }
+func (c *tad) Gamma() int { return c.gamma }
 
 // updateGamma moves γ linearly toward the observed r-count (§III-A-2).
 // The descent is deliberately eight times slower than the ascent: γ
@@ -108,7 +140,7 @@ func (c *red) Gamma() int { return c.gamma }
 // their next access into a miss.
 //
 //redvet:hotpath
-func (c *red) updateGamma(rcount uint8) {
+func (c *tad) updateGamma(rcount uint8) {
 	r := int(rcount)
 	old := c.gamma
 	switch {
@@ -128,7 +160,7 @@ func (c *red) updateGamma(rcount uint8) {
 }
 
 // noteInvalidation records an invalidated block for regret tracking.
-func (c *red) noteInvalidation(addr mem.Addr) {
+func (c *tad) noteInvalidation(addr mem.Addr) {
 	addr = addr.Align()
 	if len(c.regretRing) < regretCap {
 		c.regretRing = append(c.regretRing, addr)
@@ -143,7 +175,7 @@ func (c *red) noteInvalidation(addr mem.Addr) {
 // checkRegret raises γ when a demand miss lands on a block that gamma
 // invalidated: the invalidation evidently fired before the true last
 // write, so the expected-lifetime estimate was too short.
-func (c *red) checkRegret(addr mem.Addr) {
+func (c *tad) checkRegret(addr mem.Addr) {
 	addr = addr.Align()
 	if _, ok := c.regret[addr]; !ok {
 		return
@@ -160,7 +192,7 @@ func (c *red) checkRegret(addr mem.Addr) {
 // the TAD probe returned (which may be stale when updates were dropped).
 //
 //redvet:hotpath
-func (c *red) visibleCount(e *tagEntry, addr mem.Addr) uint8 {
+func (c *tad) visibleCount(e *tagEntry, addr mem.Addr) uint8 {
 	if c.f.rcu {
 		if cnt, ok := c.rcu.lookup(addr); ok {
 			return cnt
@@ -169,7 +201,7 @@ func (c *red) visibleCount(e *tagEntry, addr mem.Addr) uint8 {
 	return e.rcount
 }
 
-func (c *red) Submit(req *mem.Request) {
+func (c *tad) Submit(req *mem.Request) {
 	isWrite := req.Type == mem.Write
 	if isWrite {
 		c.s.Writes++
@@ -235,7 +267,7 @@ func (c *red) Submit(req *mem.Request) {
 }
 
 // direct routes a request straight to DDR4.
-func (c *red) direct(req *mem.Request) {
+func (c *tad) direct(req *mem.Request) {
 	c.s.DirectToMem++
 	if req.Type == mem.Write {
 		c.d.ddr.Write(req.Addr, mem.BlockSize, req.TakeDone())
@@ -246,7 +278,7 @@ func (c *red) direct(req *mem.Request) {
 
 // persistRCount pays whatever the variant charges for keeping the fresh
 // r-count after a read hit.
-func (c *red) persistRCount(e *tagEntry, addr mem.Addr, fresh uint8) {
+func (c *tad) persistRCount(e *tagEntry, addr mem.Addr, fresh uint8) {
 	c.s.Gamma.RCountUpdates++
 	switch {
 	case c.f.insitu:
@@ -268,20 +300,23 @@ func (c *red) persistRCount(e *tagEntry, addr mem.Addr, fresh uint8) {
 	}
 }
 
-func (c *red) handleRead(req *mem.Request) {
+func (c *tad) handleRead(req *mem.Request) {
 	e, hit := c.tags.lookup(req.Addr)
 	c.s.TagProbes++
-	g := c.tags.granularity()
+	if c.bab != nil {
+		c.bab.observe(hit)
+	}
 	if hit {
 		c.s.Demand.Hits++
 		c.d.hbm.Read(req.Addr, mem.BlockSize, req.TakeDone())
-		if c.f.gamma {
+		e.lastWrite = false
+		switch {
+		case c.f.gamma:
 			fresh := satInc(c.visibleCount(e, req.Addr))
-			e.lastWrite = false
 			c.updateGamma(fresh)
 			c.persistRCount(e, req.Addr, fresh)
-		} else {
-			e.lastWrite = false
+		case c.baseline():
+			e.rcount = satInc(e.rcount)
 		}
 		return
 	}
@@ -298,26 +333,33 @@ func (c *red) handleRead(req *mem.Request) {
 		c.d.ddr.Read(req.Addr, mem.BlockSize, req.TakeDone())
 		return
 	}
+	// BAB draws its verdict now; it travels with the op to the fill.
+	fill := c.bab == nil || c.bab.shouldFill(c.d.eng.Now(), c.d.hbm.Interface().BusyCycles)
 	base := c.frameBase(req.Addr.Align())
-	c.d.ddr.Read(base, g, c.ops.get(opRedReadFill, req.Addr, base, false, req.TakeDone()))
+	c.d.ddr.Read(base, c.tags.granularity(), c.ops.get(opReadFill, req.Addr, base, fill, req.TakeDone()))
 }
 
 // fireOp dispatches a pooled miss continuation (see op.go).
-func (c *red) fireOp(o *op, f int64) {
+func (c *tad) fireOp(o *op, f int64) {
 	switch o.kind {
-	case opRedReadFill:
-		c.finishReadFill(o.done, o.addr, o.base, f)
-	case opRedWriteInstall:
+	case opReadFill:
+		c.finishReadFill(o.done, o.addr, o.base, o.fill, f)
+	case opWriteInstall:
 		c.installWrite(o.done, o.addr, o.base)
 	}
 }
 
-// finishReadFill completes a read-miss fill after the DDR4 data
-// arrives.  The tag entry is positional (direct-mapped store, never
-// reallocated), so it is recomputed from the address.
-func (c *red) finishReadFill(done func(int64), addr, base mem.Addr, f int64) {
+// finishReadFill completes a read miss after the DDR4 data arrives,
+// installing it unless BAB bypassed the fill.  The tag entry is
+// positional (direct-mapped store, never reallocated), so it is
+// recomputed from the address.
+func (c *tad) finishReadFill(done func(int64), addr, base mem.Addr, fill bool, f int64) {
 	if done != nil {
 		done(f)
+	}
+	if !fill {
+		c.s.FillBypass++
+		return
 	}
 	c.s.Fills++
 	e, _ := c.tags.lookup(addr)
@@ -335,27 +377,32 @@ func (c *red) finishReadFill(done func(int64), addr, base mem.Addr, f int64) {
 // eviction candidates, so the resident is kept only while its reuse
 // count says it is still mid-life (below γ); without gamma counting
 // there is no lifetime evidence and the controller evicts like Alloy.
-func (c *red) keepDirtyVictim(e *tagEntry) bool {
+func (c *tad) keepDirtyVictim(e *tagEntry) bool {
 	if !e.valid || !e.dirty || !c.f.gamma {
 		return false
 	}
 	return int(c.visibleCount(e, c.tags.base(e))) < c.gamma
 }
 
-func (c *red) handleWrite(req *mem.Request) {
+func (c *tad) handleWrite(req *mem.Request) {
 	e, hit := c.tags.lookup(req.Addr)
-	c.s.TagProbes++
-	c.d.hbm.Read(req.Addr, mem.BlockSize, nil) // probe
+	if c.f.presence {
+		c.s.SRAMAccess++ // presence-filter lookup
+	} else {
+		c.s.TagProbes++
+		c.d.hbm.Read(req.Addr, mem.BlockSize, nil) // probe
+	}
 	if hit {
 		c.s.Demand.Hits++
-		vis := e.rcount
-		if c.f.rcu {
-			// The demand write persists any pending count for free.
-			if cnt, ok := c.rcu.dropBlock(req.Addr); ok {
-				vis = cnt
+		switch {
+		case c.f.gamma:
+			vis := e.rcount
+			if c.f.rcu {
+				// The demand write persists any pending count for free.
+				if cnt, ok := c.rcu.dropBlock(req.Addr); ok {
+					vis = cnt
+				}
 			}
-		}
-		if c.f.gamma {
 			fresh := satInc(vis)
 			e.rcount = fresh // the write rewrites the whole TAD anyway
 			c.updateGamma(fresh)
@@ -372,6 +419,8 @@ func (c *red) handleWrite(req *mem.Request) {
 				c.d.ddr.Write(req.Addr, mem.BlockSize, req.TakeDone())
 				return
 			}
+		case c.baseline():
+			e.rcount = satInc(e.rcount)
 		}
 		e.dirty = true
 		e.lastWrite = true
@@ -379,6 +428,12 @@ func (c *red) handleWrite(req *mem.Request) {
 		return
 	}
 	c.s.Demand.Misses++
+	if c.f.presence {
+		// Writeback-probe elimination: the absent block goes straight
+		// to DDR4 (BEAR does not write-allocate bypassed lines).
+		c.direct(req)
+		return
+	}
 	if c.f.gamma {
 		c.checkRegret(req.Addr)
 	}
@@ -388,11 +443,12 @@ func (c *red) handleWrite(req *mem.Request) {
 		c.d.ddr.Write(req.Addr, mem.BlockSize, req.TakeDone())
 		return
 	}
-	// Write-allocate, evicting any old resident.
+	// Write-allocate: a 64 B L3 writeback covers a whole 64 B frame; for
+	// coarser granularity the remainder is fetched from DDR4 first.
 	g := c.tags.granularity()
 	base := c.frameBase(req.Addr.Align())
 	if g > mem.BlockSize {
-		c.d.ddr.Read(base, g, c.ops.get(opRedWriteInstall, req.Addr, base, false, req.TakeDone()))
+		c.d.ddr.Read(base, g, c.ops.get(opWriteInstall, req.Addr, base, false, req.TakeDone()))
 	} else {
 		c.installWrite(req.TakeDone(), req.Addr, base)
 	}
@@ -400,7 +456,7 @@ func (c *red) handleWrite(req *mem.Request) {
 
 // installWrite write-allocates addr's frame, evicting any old resident,
 // once any coarse-granularity remainder has arrived from DDR4.
-func (c *red) installWrite(done func(int64), addr, base mem.Addr) {
+func (c *tad) installWrite(done func(int64), addr, base mem.Addr) {
 	c.s.Fills++
 	e, _ := c.tags.lookup(addr)
 	if e.valid {
@@ -415,13 +471,61 @@ func (c *red) installWrite(done func(int64), addr, base mem.Addr) {
 
 // dropFromRCU removes any pending update for a departing frame so it
 // cannot clobber the new resident's TAD, and folds the fresh count into
-// the tag entry so eviction statistics (and through them the α
-// adaptation) see the block's true reuse rather than a stale zero.
-func (c *red) dropFromRCU(e *tagEntry, addr mem.Addr) {
+// the tag entry so the eviction statistics see the block's true reuse
+// rather than a stale zero.
+func (c *tad) dropFromRCU(e *tagEntry, addr mem.Addr) {
 	if c.rcu == nil {
 		return
 	}
 	if cnt, ok := c.rcu.dropBlock(addr); ok {
 		e.rcount = cnt
 	}
+}
+
+// retire accounts a block leaving HBM (eviction or invalidation): the
+// last-access-type statistic (§II-C), the zero-reuse counter (read only
+// by telemetry and the Result), and the dirty writeback to DDR4 when
+// requested.
+//
+//redvet:hotpath
+func (c *tad) retire(e *tagEntry, writebackDirty bool) {
+	c.s.LastEvictTotal++
+	if e.lastWrite {
+		c.s.LastEvictWrite++
+	}
+	if e.rcount == 0 {
+		c.s.Gamma.ZeroReuseEvict++
+	}
+	if e.dirty && writebackDirty {
+		c.s.VictimWB++
+		c.d.ddr.Write(c.tags.base(e), c.tags.granularity(), nil)
+	}
+}
+
+// install points e at addr's frame as a fresh clean resident.  Valid
+// victims must have been retired by the caller.
+//
+//redvet:hotpath
+func (c *tad) install(e *tagEntry, addr mem.Addr) {
+	_, tag := c.tags.frame(addr)
+	e.tag = tag
+	e.valid = true
+	e.dirty = false
+	e.rcount = 0
+	e.lastWrite = false
+}
+
+// frameBase aligns addr down to its transfer-granularity frame.
+//
+//redvet:hotpath
+func (c *tad) frameBase(addr mem.Addr) mem.Addr {
+	return addr &^ mem.Addr(c.tags.granularity()-1)
+}
+
+//redvet:hotpath
+func satInc(x uint8) uint8 {
+	if x == 255 {
+		return x
+	}
+	return x + 1
 }

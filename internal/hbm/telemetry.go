@@ -21,14 +21,6 @@ func registerCtlProbes(r *obs.Registry, s *Stats) {
 		func() int64 { return s.Demand.Accesses() })
 }
 
-// RegisterTelemetry is the default wire-up inherited by controllers
-// embedding ctlBase: the shared controller probe set plus the event
-// tracer for instrumented paths.
-func (c *ctlBase) RegisterTelemetry(tel *obs.Telemetry) {
-	registerCtlProbes(&tel.Reg, &c.s)
-	c.tr = tel.Tracer
-}
-
 // RegisterTelemetry exports the reference topology's counters (it has
 // no adaptive state to trace).
 func (c *noHBM) RegisterTelemetry(tel *obs.Telemetry) {
@@ -40,13 +32,15 @@ func (c *ideal) RegisterTelemetry(tel *obs.Telemetry) {
 	registerCtlProbes(&tel.Reg, &c.s)
 }
 
-// RegisterTelemetry adds the RedCache-specific probe set on top of the
-// shared one: the two adaptive thresholds, the α buffer, and the RCU
-// dispositions — the quantities Figs 7-8 and §III-C track over time.
-// Only the probes of enabled mechanisms are registered, so each
-// variant's telemetry schema names exactly what it simulates.
-func (c *red) RegisterTelemetry(tel *obs.Telemetry) {
-	c.ctlBase.RegisterTelemetry(tel)
+// RegisterTelemetry registers the shared controller probe set, wires the
+// event tracer, and adds the RedCache probes: the two adaptive
+// thresholds, the α buffer, and the RCU dispositions — the quantities
+// Figs 7-8 and §III-C track over time.  Only the probes of enabled
+// mechanisms are registered, so each architecture's telemetry schema
+// names exactly what it simulates.
+func (c *tad) RegisterTelemetry(tel *obs.Telemetry) {
+	registerCtlProbes(&tel.Reg, &c.s)
+	c.tr = tel.Tracer
 	r := &tel.Reg
 	if c.f.alpha {
 		r.Gauge("red.alpha", func() int64 { return int64(c.at.Alpha()) })

@@ -265,36 +265,5 @@ func (h *ReuseHistogram) CostShareAbove(lo, hi int64) float64 {
 	return float64(in) / float64(total)
 }
 
-// LastAccess tracks, per block, the type of the most recent access so the
-// §II-C statistic (share of blocks whose *last* access is a write) can be
-// computed at end of simulation.
-type LastAccess struct {
-	last map[uint64]bool // block -> last access was a write
-}
-
-// NewLastAccess returns an empty tracker.
-func NewLastAccess() *LastAccess { return &LastAccess{last: make(map[uint64]bool)} }
-
-// Observe records an access to block.
-func (l *LastAccess) Observe(block uint64, isWrite bool) { l.last[block] = isWrite }
-
-// WriteShare reports the fraction of observed blocks whose final access
-// was a write (the paper reports >82% for HBM-resident blocks).
-func (l *LastAccess) WriteShare() float64 {
-	if len(l.last) == 0 {
-		return 0
-	}
-	var w int
-	for _, isW := range l.last {
-		if isW {
-			w++
-		}
-	}
-	return float64(w) / float64(len(l.last))
-}
-
-// Blocks reports how many distinct blocks were observed.
-func (l *LastAccess) Blocks() int { return len(l.last) }
-
 // Fmt renders a ratio as a percentage string for reports.
 func Fmt(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

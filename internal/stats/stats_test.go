@@ -114,22 +114,6 @@ func TestHistogramConservation(t *testing.T) {
 	}
 }
 
-func TestLastAccess(t *testing.T) {
-	l := NewLastAccess()
-	l.Observe(1, false)
-	l.Observe(1, true) // last touch is a write
-	l.Observe(2, false)
-	if l.Blocks() != 2 {
-		t.Fatalf("blocks = %d", l.Blocks())
-	}
-	if got := l.WriteShare(); got != 0.5 {
-		t.Fatalf("write share = %f", got)
-	}
-	if NewLastAccess().WriteShare() != 0 {
-		t.Error("empty tracker should report 0")
-	}
-}
-
 func TestFmt(t *testing.T) {
 	if Fmt(0.825) != "82.5%" {
 		t.Fatalf("Fmt = %q", Fmt(0.825))

@@ -101,17 +101,9 @@ func GenerateTrace(label string, cores int, sc Scale, seed int64) (*Trace, error
 // Result carries everything measured about one run.
 type Result = sim.Result
 
-// Options tweak a run (observers, cycle limits).
-type Options = sim.Options
-
 // Run simulates the trace on the given architecture.
 func Run(cfg *Config, arch Architecture, t *Trace) (*Result, error) {
 	return sim.Run(cfg, arch, t, nil)
-}
-
-// RunWithOptions is Run with explicit sim options.
-func RunWithOptions(cfg *Config, arch Architecture, t *Trace, opts *Options) (*Result, error) {
-	return sim.Run(cfg, arch, t, opts)
 }
 
 // Suite memoizes and parallelizes the paper's experiments (Figs 2-11).
